@@ -22,10 +22,9 @@ alone spread over the grid.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, List, Optional, Sequence
 
+from ..digest import canonical_digest
 from ..errors import QoSInfeasibleError
 from ..nn.graph import Model
 from ..pipeline import DAEDVFSPipeline
@@ -136,6 +135,5 @@ def cross_board_report(
         "ranking": ranking,
         "winner": ranking[0] if ranking else None,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    payload["digest"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    payload["digest"] = canonical_digest(payload)
     return payload

@@ -21,8 +21,6 @@ from them -- stay bit-identical to the pre-registry library.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -37,6 +35,7 @@ from ..clock.configs import (
 from ..clock.limits import ClockTreeLimits, resolve_limits
 from ..clock.rcc import RCC
 from ..clock.switching import SwitchCostModel
+from ..digest import canonical_digest
 from ..errors import BoardError
 from ..mcu.board import Board
 from ..mcu.cache import CacheModel
@@ -242,5 +241,4 @@ class BoardSpec:
 
     def digest(self) -> str:
         """Deterministic content hash of the descriptor summary."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canonical_digest(self.to_dict())

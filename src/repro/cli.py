@@ -71,7 +71,8 @@ from .analysis import (
     write_timeline_csv,
 )
 from .clock import enumerate_configs
-from .engine import load_plan, save_plan
+from .digest import canonical_digest, canonical_json
+from .engine import load_plan, plan_to_dict, save_plan
 from .errors import ReproError
 from .nn import PAPER_MODELS, build_tiny_test_model
 from .nn.graph import Model
@@ -117,67 +118,45 @@ def _out(args: argparse.Namespace):
     return sys.stderr if _json_mode(args) else sys.stdout
 
 
-def _emit_json(args: argparse.Namespace, payload: Dict[str, Any]) -> None:
-    """Honor the ``--json`` contract for one payload.
+_OUTPUT_HELP = {
+    "trace": (
+        "record an execution trace and write it here (.jsonl for"
+        " the native format, anything else for Chrome/Perfetto"
+        " JSON)"
+    ),
+    "metrics": (
+        "write the final metrics-registry snapshot here as"
+        " canonical JSON with its sha256 digest (inspect with"
+        " `repro-dvfs monitor PATH`)"
+    ),
+}
 
-    Stdout always gets the JSON (and nothing else); a path argument
-    other than ``-`` gets a copy on disk.
+
+def _add_outputs(
+    p: argparse.ArgumentParser, json_what: Optional[str], *files: str
+) -> None:
+    """Declare a subcommand's output flags.
+
+    ``--json`` describes ``json_what`` (None: no ``--json``); ``files``
+    names any of ``"trace"`` / ``"metrics"``.  :func:`main` runs every
+    command under the flags it declared.
     """
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.json != "-":
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
-        print(f"report written to {args.json}", file=sys.stderr)
-    print(text)
+    if json_what is not None:
+        p.add_argument(
+            "--json", nargs="?", const="-", metavar="PATH",
+            help=(
+                f"emit the {json_what} as JSON on stdout (human text"
+                " moves to stderr); with PATH, also write it there"
+            ),
+        )
+    for name in files:
+        p.add_argument(f"--{name}", metavar="PATH", help=_OUTPUT_HELP[name])
 
 
-def _add_json_flag(p: argparse.ArgumentParser, what: str) -> None:
-    p.add_argument(
-        "--json", nargs="?", const="-", metavar="PATH",
-        help=(
-            f"emit the {what} as JSON on stdout (human text moves to"
-            " stderr); with PATH, also write it there"
-        ),
-    )
-
-
-def _add_trace_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--trace", metavar="PATH",
-        help=(
-            "record an execution trace and write it here (.jsonl for"
-            " the native format, anything else for Chrome/Perfetto"
-            " JSON)"
-        ),
-    )
-
-
-def _trace_begin(args: argparse.Namespace):
-    """Install a process tracer when ``--trace PATH`` was given."""
-    if not getattr(args, "trace", None):
-        return None
-    from .obs.tracing import Tracer, install
-
-    return install(Tracer())
-
-
-def _trace_finish(
-    args: argparse.Namespace,
-    tracer,
-    payload: Optional[Dict[str, Any]] = None,
-) -> Optional[Dict[str, Any]]:
-    """Uninstall the tracer, write the trace, attach the summary.
-
-    The summary lands under ``payload["trace"]`` *after* the caller
-    computed any content digest, so tracing never changes a payload's
-    own digest.
-    """
-    if tracer is None:
-        return None
+def _write_trace(args: argparse.Namespace, tracer) -> Dict[str, Any]:
+    """Write the ``--trace`` file; returns its summary."""
     from .obs.export import write_trace
-    from .obs.tracing import uninstall
 
-    uninstall()
     summary = write_trace(tracer, args.trace)
     print(
         f"trace written to {summary['path']} "
@@ -185,48 +164,24 @@ def _trace_finish(
         f"digest {summary['digest'][:12]}...)",
         file=_out(args),
     )
-    if payload is not None:
-        payload["trace"] = summary
     return summary
 
 
-def _add_metrics_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--metrics", metavar="PATH",
-        help=(
-            "write the final metrics-registry snapshot here as"
-            " canonical JSON with its sha256 digest (inspect with"
-            " `repro-dvfs monitor PATH`)"
-        ),
-    )
-
-
-def _metrics_finish(
-    args: argparse.Namespace,
-    payload: Optional[Dict[str, Any]] = None,
-) -> Optional[Dict[str, Any]]:
-    """Write the registry snapshot when ``--metrics PATH`` was given.
-
-    Mirrors :func:`_trace_finish`: the ``metrics`` summary lands under
-    ``payload["metrics"]`` *after* the caller computed any content
-    digest, so metrics capture never changes a payload's own digest.
-    """
-    if not getattr(args, "metrics", None):
-        return None
+def _write_metrics(args: argparse.Namespace) -> Dict[str, Any]:
+    """Write the registry snapshot to ``--metrics``; returns its summary."""
     from .obs.registry import get_registry, snapshot_digest
 
     snapshot = get_registry().snapshot()
     digest = snapshot_digest(snapshot)
     with open(args.metrics, "w", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps(
-                {"registry": snapshot, "digest": digest},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
+        fh.write(canonical_json({"registry": snapshot, "digest": digest}))
         fh.write("\n")
-    summary = {
+    print(
+        f"metrics written to {args.metrics} "
+        f"(digest {digest[:12]}...)",
+        file=_out(args),
+    )
+    return {
         "path": args.metrics,
         "digest": digest,
         "families": {
@@ -234,27 +189,52 @@ def _metrics_finish(
             for section in ("counters", "gauges", "histograms")
         },
     }
-    print(
-        f"metrics written to {args.metrics} "
-        f"(digest {digest[:12]}...)",
-        file=_out(args),
-    )
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run one subcommand under its ``--json/--trace/--metrics`` flags.
+
+    The command returns its payload (None when it has none).  The
+    trace and metrics summaries attach to it only afterwards, so they
+    never change a digest the command computed; both files are written
+    and the tracer uninstalled even when the command fails.
+    """
+    from .obs.tracing import Tracer, install, uninstall
+
+    tracer = install(Tracer()) if getattr(args, "trace", None) else None
+    payload: Optional[Dict[str, Any]] = None
+    try:
+        payload = args.func(args)
+    finally:
+        summaries = {}
+        if tracer is not None:
+            uninstall()
+            summaries["trace"] = _write_trace(args, tracer)
+        if getattr(args, "metrics", None):
+            summaries["metrics"] = _write_metrics(args)
     if payload is not None:
-        payload["metrics"] = summary
-    return summary
+        payload.update(summaries)
+        if _json_mode(args):
+            text = json.dumps(payload, indent=2, sort_keys=True)
+            if args.json != "-":
+                with open(args.json, "w") as fh:
+                    fh.write(text + "\n")
+                print(f"report written to {args.json}", file=sys.stderr)
+            print(text)
+    passed = getattr(args, "passed", None)
+    return 0 if passed is None or passed(payload) else 1
 
 
-def cmd_summary(args: argparse.Namespace) -> int:
+def cmd_summary(args: argparse.Namespace) -> None:
     model = _build_model(args.model)
     print(model.summary())
     print(
         f"DAE-eligible conv layers: {model.dae_layer_fraction():.0%} "
         f"({len(model.dae_nodes())}/{len(model.conv_nodes())})"
     )
-    return 0
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
+def cmd_optimize(args: argparse.Namespace) -> Dict[str, Any]:
     model = _build_model(args.model)
     if getattr(args, "board", None):
         from .boards import build_board
@@ -287,28 +267,23 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.output:
         save_plan(plan, args.output)
         print(f"plan written to {args.output}", file=out)
-    if _json_mode(args):
-        from .engine.serialize import plan_to_dict
-        from .serve.protocol import plan_digest
-
-        payload = {
-            "model": args.model,
-            "baseline_latency_s": result.baseline_latency_s,
-            "budget_s": result.qos_s,
-            "fixed_overhead_s": result.fixed_overhead_s,
-            "harmonized": bool(args.harmonize),
-            "plan": plan_to_dict(plan),
-        }
-        # Key present only under --board: default payloads (and their
-        # pinned digests) are unchanged by the board registry.
-        if getattr(args, "board", None):
-            payload["board"] = args.board
-        payload["digest"] = plan_digest(payload)
-        _emit_json(args, payload)
-    return 0
+    payload = {
+        "model": args.model,
+        "baseline_latency_s": result.baseline_latency_s,
+        "budget_s": result.qos_s,
+        "fixed_overhead_s": result.fixed_overhead_s,
+        "harmonized": bool(args.harmonize),
+        "plan": plan_to_dict(plan),
+    }
+    # Key present only under --board: default payloads (and their
+    # pinned digests) are unchanged by the board registry.
+    if getattr(args, "board", None):
+        payload["board"] = args.board
+    payload["digest"] = canonical_digest(payload)
+    return payload
 
 
-def cmd_deploy(args: argparse.Namespace) -> int:
+def cmd_deploy(args: argparse.Namespace) -> None:
     model = _build_model(args.model)
     pipeline = DAEDVFSPipeline()
     plan = load_plan(args.plan)
@@ -318,10 +293,9 @@ def cmd_deploy(args: argparse.Namespace) -> int:
     if args.timeline:
         write_timeline_csv(report, args.timeline)
         print(f"timeline written to {args.timeline}")
-    return 0
 
 
-def cmd_codegen(args: argparse.Namespace) -> int:
+def cmd_codegen(args: argparse.Namespace) -> None:
     import pathlib
 
     from .codegen import generate_firmware
@@ -334,10 +308,9 @@ def cmd_codegen(args: argparse.Namespace) -> int:
         path = outdir / filename
         path.write_text(contents)
         print(f"wrote {path}")
-    return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> Dict[str, Any]:
     model = _build_model(args.model)
     pipeline = DAEDVFSPipeline()
     out = _out(args)
@@ -369,12 +342,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "met_qos": row.ours.met_qos,
             }
         )
-    if _json_mode(args):
-        _emit_json(args, {"model": args.model, "rows": rows})
-    return 0
+    return {"model": args.model, "rows": rows}
 
 
-def cmd_microbench(args: argparse.Namespace) -> int:
+def cmd_microbench(args: argparse.Namespace) -> None:
     pipeline = DAEDVFSPipeline()
     configs = enumerate_configs(
         hse_choices=[16 * MHZ, 25 * MHZ, 50 * MHZ],
@@ -391,10 +362,9 @@ def cmd_microbench(args: argparse.Namespace) -> int:
             f"{r.config.describe():>56s}  {r.power_w * 1e3:7.1f} mW  "
             f"{to_ms(r.latency_s):7.3f} ms/Mops"
         )
-    return 0
 
 
-def cmd_stream(args: argparse.Namespace) -> int:
+def cmd_stream(args: argparse.Namespace) -> None:
     from .engine import IdlePolicy, run_stream
     from .power import ThermalModelParams, thermal_replay
 
@@ -421,10 +391,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
         f"thermal: peak {replay.peak_temperature_c:.1f} C, "
         f"leakage correction {replay.leakage_correction:+.2%}"
     )
-    return 0
 
 
-def cmd_hotspots(args: argparse.Namespace) -> int:
+def cmd_hotspots(args: argparse.Namespace) -> None:
     from .analysis import identify_hotspots
 
     model = _build_model(args.model)
@@ -440,10 +409,9 @@ def cmd_hotspots(args: argparse.Namespace) -> int:
             f" {to_ms(h.latency_s):7.3f}ms {h.latency_share:6.1%}"
             f" {'yes' if h.supports_dae else 'no':>4s}"
         )
-    return 0
 
 
-def cmd_boards(args: argparse.Namespace) -> int:
+def cmd_boards(args: argparse.Namespace) -> Dict[str, Any]:
     from .boards import DEFAULT_BOARD, board_names, get_spec
 
     if args.show:
@@ -452,8 +420,7 @@ def cmd_boards(args: argparse.Namespace) -> int:
         data["digest"] = spec.digest()
         data["default"] = spec.name == DEFAULT_BOARD
         if _json_mode(args):
-            _emit_json(args, data)
-            return 0
+            return data
         print(f"{spec.name}: {spec.title}")
         print(f"  core {spec.core}, family {spec.family}")
         print(f"  {spec.description}")
@@ -473,7 +440,7 @@ def cmd_boards(args: argparse.Namespace) -> int:
         if spec.calibration:
             print(f"  calibration: {spec.calibration}")
         print(f"  digest: {spec.digest()}")
-        return 0
+        return data
     rows = []
     for name in board_names():
         spec = get_spec(name)
@@ -490,9 +457,9 @@ def cmd_boards(args: argparse.Namespace) -> int:
                 "digest": spec.digest(),
             }
         )
+    payload = {"default": DEFAULT_BOARD, "boards": rows}
     if _json_mode(args):
-        _emit_json(args, {"default": DEFAULT_BOARD, "boards": rows})
-        return 0
+        return payload
     for row in rows:
         mark = "*" if row["default"] else " "
         npu = f", NPU {row['npu']}" if row["npu"] else ""
@@ -501,14 +468,13 @@ def cmd_boards(args: argparse.Namespace) -> int:
             f"up to {row['sysclk_max_mhz']:g} MHz{npu} -- {row['title']}"
         )
     print("(* = default board; `boards --show NAME` for details)")
-    return 0
+    return payload
 
 
-def cmd_crossboard(args: argparse.Namespace) -> int:
+def cmd_crossboard(args: argparse.Namespace) -> Dict[str, Any]:
     from .boards import DEFAULT_BOARD, cross_board_report
 
     model = _build_model(args.model)
-    tracer = _trace_begin(args)
     report = cross_board_report(
         model,
         qos_s=_qos_seconds(args),
@@ -552,23 +518,18 @@ def cmd_crossboard(args: argparse.Namespace) -> int:
         f"  winner: {winner if winner else '(none met the budget)'}",
         file=out,
     )
-    _trace_finish(args, tracer, report)
-    if _json_mode(args):
-        _emit_json(args, report)
-    return 0
+    return report
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(args: argparse.Namespace) -> Dict[str, Any]:
     from .selftest import run_selftest
 
     result = run_selftest(quick=args.quick)
     print(result.summary(), file=_out(args))
-    if _json_mode(args):
-        _emit_json(args, result.to_dict())
-    return 0 if result.ok else 1
+    return result.to_dict()
 
 
-def cmd_lifetime(args: argparse.Namespace) -> int:
+def cmd_lifetime(args: argparse.Namespace) -> Dict[str, Any]:
     model = _build_model(args.model)
     pipeline = DAEDVFSPipeline()
     level = _qos_level(args) or QoSLevel(name="30%", slack=0.30)
@@ -597,20 +558,15 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
             "days": life.days,
             "energy_per_hour_j": life.energy_per_hour_j,
         }
-    if _json_mode(args):
-        _emit_json(
-            args,
-            {
-                "model": args.model,
-                "capacity_mah": battery.capacity_mah,
-                "windows_per_hour": duty.windows_per_hour,
-                "systems": systems,
-            },
-        )
-    return 0
+    return {
+        "model": args.model,
+        "capacity_mah": battery.capacity_mah,
+        "windows_per_hour": duty.windows_per_hour,
+        "systems": systems,
+    }
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
+def cmd_fleet(args: argparse.Namespace) -> Dict[str, Any]:
     from .fleet import (
         FleetScheduler,
         GovernorConfig,
@@ -620,7 +576,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     )
 
     model = _build_model(args.model)
-    tracer = _trace_begin(args)
     level = _qos_level(args) or QoSLevel(name="30%", slack=0.30)
     fleet = sample_fleet(
         args.devices, seed=args.seed, boards=(args.board or None)
@@ -644,19 +599,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     )
     report = aggregate_fleet(model, qos_s, results, governed)
     print(report.summary(), file=_out(args))
-    payload = report.to_dict() if _json_mode(args) else None
-    _trace_finish(args, tracer, payload)
-    _metrics_finish(args, payload)
-    if payload is not None:
-        _emit_json(args, payload)
-    return 0
+    return report.to_dict()
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
+def cmd_chaos(args: argparse.Namespace) -> Dict[str, Any]:
     from .faults import ChaosConfig, FaultPlan, run_campaign
 
     model = _build_model(args.model)
-    tracer = _trace_begin(args)
     fault_plan = FaultPlan(
         seed=args.fault_seed,
         hse_dropout_rate=args.hse_dropout_rate,
@@ -676,42 +625,28 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     report = run_campaign(model, fault_plan, config)
     print(report.summary(), file=_out(args))
-    payload = report.to_dict() if _json_mode(args) else None
-    _trace_finish(args, tracer, payload)
-    _metrics_finish(args, payload)
-    if payload is not None:
-        _emit_json(args, payload)
-    return 0
+    return report.to_dict()
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
+def cmd_scenario(args: argparse.Namespace) -> Dict[str, Any]:
     from .scenario import build_preset, list_presets, run_scenario
 
     if args.list:
         presets = list_presets()
-        if _json_mode(args):
-            _emit_json(args, {"presets": presets})
-        else:
+        if not _json_mode(args):
             for row in presets:
                 print(f"{row['name']:18s} {row['description']}")
-        return 0
+        return {"presets": presets}
     if args.resume:
         from .scenario import resume_scenario
 
-        tracer = _trace_begin(args)
         report = resume_scenario(args.resume)
         print(report.summary(), file=_out(args))
-        payload = report.to_dict() if _json_mode(args) else None
-        _trace_finish(args, tracer, payload)
-        _metrics_finish(args, payload)
-        if payload is not None:
-            _emit_json(args, payload)
-        return 0
+        return report.to_dict()
     if not args.preset:
         raise ReproError(
             "scenario: provide a preset name (or --list to see them)"
         )
-    tracer = _trace_begin(args)
     config = build_preset(
         args.preset,
         devices=args.devices,
@@ -735,12 +670,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     else:
         report = run_scenario(config)
     print(report.summary(), file=_out(args))
-    payload = report.to_dict() if _json_mode(args) else None
-    _trace_finish(args, tracer, payload)
-    _metrics_finish(args, payload)
-    if payload is not None:
-        _emit_json(args, payload)
-    return 0
+    return report.to_dict()
 
 
 def _run_with_checkpoint(config, path: str, after_events: int):
@@ -797,12 +727,11 @@ def _serve_config(args: argparse.Namespace):
     )
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def cmd_serve(args: argparse.Namespace) -> None:
     import asyncio
 
     from .serve import PlanServer, RouterConfig, ShardRouter
 
-    tracer = _trace_begin(args)
     config = _serve_config(args)
     config.default_board = getattr(args, "board", None)
     shards = getattr(args, "shards", 0) or 0
@@ -853,12 +782,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_run())
     except KeyboardInterrupt:
         print("draining and shutting down", file=sys.stderr)
-    _trace_finish(args, tracer)
-    _metrics_finish(args)
-    return 0
 
 
-def cmd_loadgen(args: argparse.Namespace) -> int:
+def cmd_loadgen(args: argparse.Namespace) -> Dict[str, Any]:
     from .serve import LoadGenConfig, run_loadgen
 
     config = LoadGenConfig(
@@ -913,13 +839,10 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             f"({'met' if gate['met'] else 'MISSED'})",
             file=out,
         )
-    if _json_mode(args):
-        _emit_json(args, summary)
-    ok = summary["cache_consistent"] and summary["slo_met"]
-    return 0 if ok else 1
+    return summary
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
+def cmd_plan(args: argparse.Namespace) -> Dict[str, Any]:
     """One plan request through the full in-process serve path.
 
     Unlike ``optimize`` (which calls the pipeline directly), this
@@ -935,7 +858,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     from .serve.protocol import ErrorPayload, exception_from_error
 
     _build_model(args.model)  # fail fast on unknown models
-    tracer = _trace_begin(args)
     config = _serve_config(args)
     params: Dict[str, Any] = {"model": args.model}
     if args.qos_percent is not None:
@@ -962,8 +884,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     response = asyncio.run(_run())
     if not response.get("ok", False):
-        _trace_finish(args, tracer)
-        _metrics_finish(args)
         raise exception_from_error(
             ErrorPayload.from_dict(response.get("error", {}))
         )
@@ -980,14 +900,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     )
     # The trace and metrics summaries ride outside the core payload:
     # result["digest"] was computed server-side before either attached.
-    _trace_finish(args, tracer, result)
-    _metrics_finish(args, result)
-    if _json_mode(args):
-        _emit_json(args, result)
-    return 0
+    return result
 
 
-def cmd_obs(args: argparse.Namespace) -> int:
+def cmd_obs(args: argparse.Namespace) -> Dict[str, Any]:
     """Inspect a JSONL trace: digest, span counts, optional conversion."""
     from collections import Counter
 
@@ -1019,19 +935,14 @@ def cmd_obs(args: argparse.Namespace) -> int:
             json.dump(chrome_trace(records), fh, sort_keys=True)
         chrome_path = args.chrome
         print(f"chrome trace written to {chrome_path}", file=out)
-    if _json_mode(args):
-        _emit_json(
-            args,
-            {
-                "path": args.trace_file,
-                "spans": len(records),
-                "digest": digest,
-                "names": dict(sorted(names.items())),
-                "correlations": correlations,
-                "chrome": chrome_path,
-            },
-        )
-    return 0
+    return {
+        "path": args.trace_file,
+        "spans": len(records),
+        "digest": digest,
+        "names": dict(sorted(names.items())),
+        "correlations": correlations,
+        "chrome": chrome_path,
+    }
 
 
 def _load_metrics_snapshot(path: str) -> Dict[str, Any]:
@@ -1091,7 +1002,7 @@ def _fetch_metrics(host: str, port: int) -> Dict[str, Any]:
         ) from err
 
 
-def cmd_monitor(args: argparse.Namespace) -> int:
+def cmd_monitor(args: argparse.Namespace) -> Dict[str, Any]:
     """Tail, roll up, lint, and SLO-check registry snapshots.
 
     One snapshot tails the registry as a single window-sized delta
@@ -1190,7 +1101,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         },
         "rollup": rollup,
     }
-    rc = 0
     if args.slo:
         store = SeriesStore(capacity=2)
         store.sample(0.0, start)
@@ -1253,14 +1163,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         if problems:
             for problem in problems:
                 print(f"  lint: {problem}", file=out)
-            rc = 1
         else:
             print("  lint: exposition clean", file=out)
-    if _json_mode(args):
-        if args.prom == "-":
-            payload["exposition"] = exposition
-        _emit_json(args, payload)
-    return rc
+    if args.prom == "-":
+        payload["exposition"] = exposition
+    return payload
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -1311,7 +1218,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--harmonize", action="store_true",
                    help="run the re-lock reduction pass on the plan")
     p.add_argument("--output", "-o", help="write the plan JSON here")
-    _add_json_flag(p, "plan payload (with sha256 digest)")
+    _add_outputs(p, "plan payload (with sha256 digest)")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("deploy", help="execute a saved plan")
@@ -1334,7 +1241,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--qos-percents", type=int, nargs="+", default=[10, 30, 50]
     )
-    _add_json_flag(p, "comparison table")
+    _add_outputs(p, "comparison table")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser(
@@ -1371,7 +1278,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--show", metavar="NAME", default=None,
         help="print one board's full descriptor",
     )
-    _add_json_flag(p, "board descriptor(s)")
+    _add_outputs(p, "board descriptor(s)")
     p.set_defaults(func=cmd_boards)
 
     p = sub.add_parser(
@@ -1389,8 +1296,7 @@ def make_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--solver", choices=("dp", "greedy"), default="dp")
-    _add_json_flag(p, "cross-board ranking (with sha256 digest)")
-    _add_trace_flag(p)
+    _add_outputs(p, "cross-board ranking (with sha256 digest)", "trace")
     p.set_defaults(func=cmd_crossboard)
 
     p = sub.add_parser("selftest", help="fast installation sanity sweep")
@@ -1398,8 +1304,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="only the cheap structural checks (the serve health subset)",
     )
-    _add_json_flag(p, "check results")
-    p.set_defaults(func=cmd_selftest)
+    _add_outputs(p, "check results")
+    p.set_defaults(func=cmd_selftest, passed=lambda r: r["ok"])
 
     p = sub.add_parser(
         "fleet",
@@ -1429,9 +1335,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="governor telemetry epochs per device (0 disables)",
     )
     add_board_mix(p)
-    _add_json_flag(p, "full fleet report")
-    _add_trace_flag(p)
-    _add_metrics_flag(p)
+    _add_outputs(p, "full fleet report", "trace", "metrics")
     p.set_defaults(func=cmd_fleet)
 
     p = sub.add_parser(
@@ -1487,9 +1391,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="watchdog-reset probability per layer checkpoint",
     )
     add_board_mix(p)
-    _add_json_flag(p, "survival report")
-    _add_trace_flag(p)
-    _add_metrics_flag(p)
+    _add_outputs(p, "survival report", "trace", "metrics")
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
@@ -1541,9 +1443,7 @@ def make_parser() -> argparse.ArgumentParser:
         " to the uninterrupted run); no preset needed",
     )
     add_board_mix(p)
-    _add_json_flag(p, "scenario report")
-    _add_trace_flag(p)
-    _add_metrics_flag(p)
+    _add_outputs(p, "scenario report", "trace", "metrics")
     p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("lifetime", help="battery-lifetime projection")
@@ -1551,7 +1451,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_qos(p)
     p.add_argument("--capacity-mah", type=float, default=1200.0)
     p.add_argument("--windows-per-hour", type=float, default=60.0)
-    _add_json_flag(p, "lifetime projection")
+    _add_outputs(p, "lifetime projection")
     p.set_defaults(func=cmd_lifetime)
 
     def add_serve_tuning(p):
@@ -1636,8 +1536,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     add_board(p)
     add_serve_tuning(p)
-    _add_trace_flag(p)
-    _add_metrics_flag(p)
+    _add_outputs(p, None, "trace", "metrics")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -1655,9 +1554,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     add_board(p)
     add_serve_tuning(p)
-    _add_json_flag(p, "served plan payload (with sha256 digest)")
-    _add_trace_flag(p)
-    _add_metrics_flag(p)
+    _add_outputs(
+        p, "served plan payload (with sha256 digest)", "trace", "metrics"
+    )
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser(
@@ -1669,7 +1568,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--chrome", metavar="PATH",
         help="also convert to Chrome/Perfetto trace JSON here",
     )
-    _add_json_flag(p, "trace summary")
+    _add_outputs(p, "trace summary")
     p.set_defaults(func=cmd_obs)
 
     p = sub.add_parser(
@@ -1709,8 +1608,9 @@ def make_parser() -> argparse.ArgumentParser:
         "--slo", action="store_true",
         help="judge the default serve+scenario SLOs on the rollup",
     )
-    _add_json_flag(p, "monitor report")
-    p.set_defaults(func=cmd_monitor)
+    _add_outputs(p, "monitor report")
+    # Lint problems fail the run; the report still prints.
+    p.set_defaults(func=cmd_monitor, passed=lambda r: not r.get("lint"))
 
     p = sub.add_parser(
         "loadgen",
@@ -1790,8 +1690,11 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--port", type=int, default=None)
     add_serve_tuning(p)
-    _add_json_flag(p, "load-generation summary")
-    p.set_defaults(func=cmd_loadgen)
+    _add_outputs(p, "load-generation summary")
+    p.set_defaults(
+        func=cmd_loadgen,
+        passed=lambda s: s["cache_consistent"] and s["slo_met"],
+    )
 
     return parser
 
@@ -1804,7 +1707,7 @@ def main(argv: Optional[list] = None) -> int:
     """
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ReproError as err:
         print(f"error: {err}", file=sys.stderr)
         if _json_mode(args):

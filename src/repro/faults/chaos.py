@@ -18,11 +18,10 @@ which the CI chaos smoke job asserts.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..digest import report_digest
 from ..errors import FaultInjectionError
 from ..nn.graph import Model
 from ..obs.tracing import span
@@ -218,25 +217,14 @@ class ChaosReport:
         ``repr`` of a float round-trips the exact binary value, so two
         campaigns agree on the digest iff they agree bit-for-bit.
         """
-        payload = json.dumps(
+        return report_digest(
             {
                 "model": self.model_name,
-                "qos_s": repr(self.qos_s),
-                "fault_plan": {
-                    k: (repr(v) if isinstance(v, float) else v)
-                    for k, v in self.fault_plan.items()
-                },
-                "rows": [
-                    {
-                        k: (repr(v) if isinstance(v, float) else v)
-                        for k, v in row.items()
-                    }
-                    for row in self._canonical_rows()
-                ],
-            },
-            sort_keys=True,
+                "qos_s": self.qos_s,
+                "fault_plan": self.fault_plan,
+                "rows": self._canonical_rows(),
+            }
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def rows_digest(self) -> str:
         """SHA-256 over the survival rows alone (no plan echo).
@@ -245,17 +233,7 @@ class ChaosReport:
         only the serve tier consumes (WORKER_KILL) may change the plan
         echo in :meth:`digest`, but must never move this value.
         """
-        payload = json.dumps(
-            [
-                {
-                    k: (repr(v) if isinstance(v, float) else v)
-                    for k, v in row.items()
-                }
-                for row in self._canonical_rows()
-            ],
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return report_digest(self._canonical_rows())
 
     def to_dict(self) -> Dict:
         """JSON-ready representation (aggregates + rows + digest)."""

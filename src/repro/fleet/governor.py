@@ -365,12 +365,6 @@ class FleetGovernor:
         return self._epoch
 
     @property
-    def replans_used(self) -> int:
-        """Re-solves applied since :meth:`start`."""
-        self._require_started()
-        return self._replans
-
-    @property
     def pending_replan(self) -> Optional[ReplanIntent]:
         """The deferred replan awaiting :meth:`apply_replan`, if any."""
         self._require_started()

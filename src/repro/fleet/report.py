@@ -16,14 +16,13 @@ produce the same digest, which the CLI prints and the tests pin.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..analysis.figures import frequency_histogram, granularity_histogram
+from ..digest import report_digest
 from ..nn.graph import Model
 from .governor import GovernorResult
 from .scheduler import DeviceResult
@@ -160,21 +159,13 @@ class FleetReport:
         runs agree on the digest iff they agree bit-for-bit on every
         device's results.
         """
-        payload = json.dumps(
+        return report_digest(
             {
                 "model": self.model_name,
-                "qos_s": repr(self.qos_s),
-                "rows": [
-                    {
-                        k: (repr(v) if isinstance(v, float) else v)
-                        for k, v in row.items()
-                    }
-                    for row in self.rows()
-                ],
-            },
-            sort_keys=True,
+                "qos_s": self.qos_s,
+                "rows": self.rows(),
+            }
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_dict(self) -> Dict:
         """JSON-ready representation (aggregates + rows + digest).

@@ -12,7 +12,9 @@ anything.
 The log is process-wide, always on (recording is a deque append under
 a lock -- far off any hot path's critical cost), and bounded: beyond
 ``capacity`` the oldest records fall off and :attr:`DecisionLog.dropped`
-counts them, so a week-long soak cannot eat the heap.
+counts them, so a week-long soak cannot eat the heap.  The per-decision
+tallies of :meth:`DecisionLog.counts` are kept apart from the ring and
+cover every record, dropped ones included.
 
 Records are ordered by a monotone ``seq`` assigned under the lock, so
 an audit dump is deterministic for deterministic workloads; wall time
@@ -69,6 +71,7 @@ class DecisionLog:
         self._records: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._next_seq = 0
+        self._tally: Counter = Counter()
         self.dropped = 0
 
     def record(self, kind: str, decision: str, **inputs: Any) -> None:
@@ -77,6 +80,7 @@ class DecisionLog:
         with self._lock:
             if len(self._records) >= self.capacity:
                 self.dropped += 1
+            self._tally[f"{kind}:{decision}"] += 1
             self._records.append(
                 DecisionRecord(
                     seq=self._next_seq,
@@ -112,13 +116,12 @@ class DecisionLog:
         return [r.to_dict() for r in self.query(kind, decision)]
 
     def counts(self) -> Dict[str, int]:
-        """``{"kind:decision": n}`` tallies over the retained window."""
+        """``{"kind:decision": n}`` over every record since :meth:`clear`.
+
+        Kept apart from the ring, so records it dropped still count.
+        """
         with self._lock:
-            records = list(self._records)
-        tally: Counter = Counter(
-            f"{r.kind}:{r.decision}" for r in records
-        )
-        return dict(sorted(tally.items()))
+            return dict(sorted(self._tally.items()))
 
     def __len__(self) -> int:
         with self._lock:
@@ -128,6 +131,7 @@ class DecisionLog:
         with self._lock:
             self._records.clear()
             self._next_seq = 0
+            self._tally.clear()
             self.dropped = 0
 
 

@@ -26,24 +26,11 @@ changes the digest.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict, List, Optional
 
+from ..digest import canonical_digest, exact_floats
 from .tracing import SpanRecord, Tracer
-
-
-def _canonical_value(value: Any) -> Any:
-    """JSON-safe, bit-exact encoding for attribute values."""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_canonical_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _canonical_value(v) for k, v in sorted(value.items())}
-    return repr(value)
 
 
 def span_dicts(spans: List[SpanRecord]) -> List[Dict[str, Any]]:
@@ -79,15 +66,10 @@ def trace_digest(spans: List[SpanRecord], dropped: int = 0) -> str:
                 "name": entry["name"],
                 "parent_seq": entry["parent_seq"],
                 "correlation": entry["correlation"],
-                "attrs": _canonical_value(entry["attrs"]),
+                "attrs": exact_floats(entry["attrs"]),
             }
         )
-    payload = json.dumps(
-        {"spans": rows, "dropped": dropped},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return canonical_digest({"spans": rows, "dropped": dropped})
 
 
 def chrome_trace(spans: List[SpanRecord]) -> Dict[str, Any]:

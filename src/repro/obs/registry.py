@@ -33,11 +33,11 @@ a hot path stalls.
 from __future__ import annotations
 
 import bisect
-import hashlib
-import json
 import math
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from ..digest import canonical_digest
 
 
 def _log_bounds(
@@ -516,8 +516,7 @@ def snapshot_digest(snapshot: Dict[str, Any]) -> str:
     bucket's ``le`` of ``inf`` serialises as ``Infinity``, matching
     how snapshots already travel over the serve wire protocol.
     """
-    payload = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return canonical_digest(snapshot)
 
 
 # Registries merge snapshots, so expose the function as a method too.

@@ -41,24 +41,14 @@ compatibility) and skipped by :func:`replay_into_cache`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..digest import canonical_digest, canonical_json
 from ..errors import ReproError
-
-
-def _canonical(data: Dict[str, Any]) -> str:
-    """Canonical one-line JSON (sorted keys, no whitespace)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def _record_digest(kind: str, data: Dict[str, Any]) -> str:
-    body = _canonical({"kind": kind, "data": data})
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -71,11 +61,11 @@ class JournalRecord:
 
 def encode_record(kind: str, data: Dict[str, Any]) -> str:
     """One journal line (without the newline), self-digested."""
-    return _canonical(
+    return canonical_json(
         {
             "kind": kind,
             "data": data,
-            "sha256": _record_digest(kind, data),
+            "sha256": canonical_digest({"kind": kind, "data": data}),
         }
     )
 
@@ -99,7 +89,7 @@ def decode_record(line: str) -> JournalRecord:
     claimed = raw.get("sha256")
     if not isinstance(kind, str) or not isinstance(data, dict):
         raise ReproError("journal record needs string kind + object data")
-    if claimed != _record_digest(kind, data):
+    if claimed != canonical_digest({"kind": kind, "data": data}):
         raise ReproError(
             f"journal record sha256 mismatch for kind {kind!r}"
         )

@@ -65,11 +65,6 @@ class ChurnModel:
         if self.max_devices < 1:
             raise ReproError("max_devices must be >= 1")
 
-    @property
-    def is_static(self) -> bool:
-        """True when no join/leave events can ever fire."""
-        return self.join_per_hour == 0.0 and self.leave_per_hour == 0.0
-
     def to_dict(self) -> Dict:
         """JSON-ready description (for scenario reports)."""
         return {

@@ -16,23 +16,11 @@ digest iff they agree bit-for-bit on every number in the report.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..digest import report_digest
 from ..fleet.report import FleetReport
-
-
-def _canonical(obj):
-    """Recursively ``repr`` floats so the digest sees exact bits."""
-    if isinstance(obj, float):
-        return repr(obj)
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
 
 
 @dataclass
@@ -145,8 +133,7 @@ class ScenarioReport:
 
     def digest(self) -> str:
         """SHA-256 over the canonical report -- the determinism anchor."""
-        payload = json.dumps(_canonical(self._core()), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return report_digest(self._core())
 
     def to_dict(self) -> Dict:
         """JSON-ready representation (core + fleet detail + digest)."""

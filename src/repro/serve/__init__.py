@@ -24,12 +24,13 @@ and a cached plan payload is byte-identical (sha256) to a freshly
 computed one.
 """
 
+from ..digest import canonical_digest as plan_digest
 from .admission import AdmissionController, ArrivalClock, TokenBucket
 from .batcher import PlanBatcher
 from .cache import PlanCache
 from .client import InProcessClient, ServeClient
 from .loadgen import LoadGenConfig, run_loadgen
-from .metrics import LatencyHistogram, ServeMetrics
+from .metrics import ServeMetrics
 from .protocol import (
     PROTOCOL_VERSION,
     ErrorPayload,
@@ -40,7 +41,6 @@ from .protocol import (
     encode_request,
     encode_response,
     error_from_exception,
-    plan_digest,
 )
 from .router import HashRing, RouterConfig, ShardRouter, shard_key
 from .server import PlanServer, ServeConfig
@@ -58,7 +58,6 @@ __all__ = [
     "ErrorPayload",
     "HashRing",
     "InProcessClient",
-    "LatencyHistogram",
     "LoadGenConfig",
     "LocalSharedCache",
     "ManagedSharedCache",

@@ -169,11 +169,6 @@ class PlanBatcher:
             if self._inflight.get(key) is batch:
                 del self._inflight[key]
 
-    @property
-    def inflight_keys(self) -> int:
-        """Currently open batches (for tests and stats)."""
-        return len(self._inflight)
-
     def shutdown(self) -> None:
         """Stop the worker pool (in-flight work completes)."""
         if self._owns_executor:

@@ -30,12 +30,12 @@ instead of parsing messages.  Unknown kinds degrade to ``internal``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from .. import errors
+from ..digest import canonical_json
 
 #: Wire-format version; bumped on incompatible schema changes.
 PROTOCOL_VERSION = 1
@@ -174,11 +174,6 @@ class Response:
         return cls(id=request_id, ok=False, error=error_from_exception(exc))
 
 
-def _dump(data: Dict[str, Any]) -> str:
-    """Canonical one-line JSON (sorted keys, no whitespace)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 def encode_request(request: Request) -> str:
     """Encode a request as one JSON line (without the newline)."""
     data: Dict[str, Any] = {
@@ -189,7 +184,7 @@ def encode_request(request: Request) -> str:
     }
     if request.deadline_s is not None:
         data["deadline_s"] = request.deadline_s
-    return _dump(data)
+    return canonical_json(data)
 
 
 def encode_response(response: Response) -> str:
@@ -204,7 +199,7 @@ def encode_response(response: Response) -> str:
     else:
         error = response.error or ErrorPayload("internal", "unknown error")
         data["error"] = error.to_dict()
-    return _dump(data)
+    return canonical_json(data)
 
 
 def _parse_line(line: str) -> Dict[str, Any]:
@@ -279,14 +274,3 @@ def decode_response(line: str) -> Response:
     return Response(
         id=request_id, ok=False, error=ErrorPayload.from_dict(error)
     )
-
-
-def plan_digest(payload: Dict[str, Any]) -> str:
-    """sha256 over the canonical JSON encoding of a plan payload.
-
-    The acceptance gate of the serve layer: a plan served from the
-    cache must digest identically to one computed fresh, so the digest
-    is taken over the canonical (sorted-keys, fixed-separator) byte
-    encoding rather than whatever the transport emitted.
-    """
-    return hashlib.sha256(_dump(payload).encode("utf-8")).hexdigest()

@@ -953,6 +953,7 @@ class ShardRouter(JsonLinesListener):
             "cache": cache,
             "registry": merged_registry,
             "audit": get_audit_log().counts(),
+            "audit_dropped": get_audit_log().dropped,
             "workers": workers,
         }
 

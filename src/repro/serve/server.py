@@ -448,6 +448,7 @@ class PlanServer(JsonLinesListener):
             "shared_cache": shared.stats() if shared is not None else None,
             "registry": get_registry().snapshot(),
             "audit": get_audit_log().counts(),
+            "audit_dropped": get_audit_log().dropped,
             "admission": {
                 "max_queue_depth": self.admission.max_queue_depth,
                 "depth": self.admission.depth,

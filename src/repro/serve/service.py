@@ -26,6 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..digest import canonical_digest
 from ..dse.space import paper_design_space
 from ..engine.cost import model_fingerprint
 from ..engine.serialize import plan_to_dict
@@ -46,7 +47,6 @@ from ..optimize.qos import QoSLevel
 from ..pipeline import DAEDVFSPipeline, OptimizationResult
 from ..units import MHZ
 from .cache import PlanCache, plan_cache_key
-from .protocol import plan_digest
 from .shared_cache import request_key
 
 #: Models the service will plan for, by wire name.
@@ -298,9 +298,7 @@ class PlanService:
         }
         if board_name is not None:
             core["board"] = board_name
-        core["digest"] = plan_digest(
-            {k: v for k, v in core.items() if k != "digest"}
-        )
+        core["digest"] = canonical_digest(core)
         return core
 
     def reconfigure(

@@ -3,7 +3,7 @@
 Plans are pure functions of their (model, board, space, QoS) identity,
 so replicas can exchange them *byte-identically*: the tier stores each
 payload once as canonical JSON (the exact bytes
-:func:`repro.serve.protocol.plan_digest` hashes), addressed by its
+:func:`repro.digest.canonical_digest` hashes), addressed by its
 ``digest`` field, plus an index mapping plan-cache keys to digests.
 A worker that computes a plan publishes it; every other worker's next
 miss on the same key deserializes the same bytes and therefore serves
@@ -38,9 +38,9 @@ import json
 import threading
 from typing import Any, Dict, Optional, Tuple
 
+from ..digest import canonical_digest, canonical_json
 from ..errors import ReproError
 from ..obs.registry import get_registry
-from .protocol import plan_digest
 
 
 def wire_key(key: Tuple) -> str:
@@ -52,7 +52,7 @@ def wire_key(key: Tuple) -> str:
     differently per process).  Deterministic: sorted-keys JSON of the
     nested-list form.
     """
-    return json.dumps(_jsonable(key), sort_keys=True, separators=(",", ":"))
+    return canonical_json(_jsonable(key))
 
 
 def _jsonable(value: Any) -> Any:
@@ -86,13 +86,13 @@ def request_key(
     parts: list = [str(model_name), [str(kind), repr(float(value))]]
     if board is not None:
         parts.append(str(board))
-    return json.dumps(parts, separators=(",", ":"))
+    return canonical_json(parts)
 
 
 def _payload_digest(payload: Dict[str, Any]) -> str:
     """The digest a payload claims, verified against its content."""
     claimed = payload.get("digest")
-    computed = plan_digest(
+    computed = canonical_digest(
         {k: v for k, v in payload.items() if k != "digest"}
     )
     if claimed is not None and claimed != computed:
@@ -191,7 +191,7 @@ class _SharedCacheBase:
         fingerprint tuples they came from.
         """
         digest = _payload_digest(payload)
-        raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        raw = canonical_json(payload)
         with self._lock:
             if wk in self._index:
                 return self._index[wk]

@@ -32,6 +32,14 @@ class TestDecisionLog:
         assert log.dropped == 2
         assert [r.inputs["i"] for r in log.query()] == [2, 3, 4]
 
+    def test_counts_include_dropped_records(self):
+        log = DecisionLog(capacity=4)
+        for i in range(10):
+            log.record("k", "even" if i % 2 == 0 else "odd")
+        assert sum(log.counts().values()) == 10
+        assert log.counts() == {"k:even": 5, "k:odd": 5}
+        assert log.dropped == 6
+
     def test_correlation_captured(self, audit):
         with correlation("req-3"):
             audit.record("serve.cache", "miss")
@@ -55,5 +63,6 @@ class TestDecisionLog:
         audit.record("k", "d")
         audit.clear()
         assert len(audit) == 0
+        assert audit.counts() == {}
         audit.record("k", "d")
         assert audit.query()[0].seq == 0

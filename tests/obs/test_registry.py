@@ -125,11 +125,6 @@ class TestMetricsRegistry:
 
 
 class TestServeMetricsCompat:
-    def test_latency_histogram_reexported(self):
-        from repro.serve import metrics
-
-        assert metrics.LatencyHistogram is LatencyHistogram
-
     def test_serve_metrics_mirror_into_registry(self, registry):
         from repro.serve.metrics import ServeMetrics
 

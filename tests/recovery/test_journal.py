@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.digest import canonical_digest
 from repro.errors import ReproError
 from repro.recovery import (
     JournaledSharedCache,
@@ -14,7 +15,6 @@ from repro.recovery import (
     read_journal,
     replay_into_cache,
 )
-from repro.serve.protocol import plan_digest
 from repro.serve.shared_cache import (
     LocalSharedCache,
     request_key,
@@ -26,7 +26,7 @@ KEY = (("model", "fp"), ("board", "fp"), ("space", "fp"), ("percent", 30.0))
 
 def make_payload(value: float = 1.0) -> dict:
     core = {"model": "tiny", "qos": {"percent": value}, "plan": [value]}
-    core["digest"] = plan_digest(core)
+    core["digest"] = canonical_digest(core)
     return core
 
 

@@ -12,6 +12,7 @@ from repro.errors import (
     ReproError,
     SolverError,
 )
+from repro.serve import plan_digest
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ErrorPayload,
@@ -23,7 +24,6 @@ from repro.serve.protocol import (
     encode_response,
     error_from_exception,
     exception_from_error,
-    plan_digest,
 )
 
 

@@ -177,6 +177,7 @@ class TestRouterEndToEnd:
         ]
         # Both shards took traffic (the mixed keys spread).
         assert stats["router"]["live_workers"] == 2
+        assert isinstance(stats["audit_dropped"], int)
         assert sum(stats["router"]["routed"].values()) >= len(MIXED)
         # Merged metrics equal the sum of the per-worker views.
         per_worker = sum(

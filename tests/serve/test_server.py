@@ -43,6 +43,7 @@ class TestPlanEndpoint:
         assert first["digest"] == second["digest"]
         assert first["plan"]["layers"]
         assert stats["cache"]["hits"] == 1
+        assert isinstance(stats["audit_dropped"], int)
 
     def test_no_cache_param_recomputes(self):
         async def main():

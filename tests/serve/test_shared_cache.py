@@ -5,9 +5,9 @@ import multiprocessing
 
 import pytest
 
+from repro.digest import canonical_digest
 from repro.errors import ReproError
 from repro.obs.registry import get_registry
-from repro.serve.protocol import plan_digest
 from repro.serve.service import PlanService
 from repro.serve.shared_cache import (
     LocalSharedCache,
@@ -20,7 +20,7 @@ from repro.serve.shared_cache import (
 
 def make_payload(value: float = 1.0) -> dict:
     core = {"model": "tiny", "qos": {"percent": value}, "plan": [value]}
-    core["digest"] = plan_digest(core)
+    core["digest"] = canonical_digest(core)
     return core
 
 
@@ -58,7 +58,9 @@ class TestLocalSharedCache:
         digest = tier.publish(KEY, payload)
         served = tier.lookup(KEY)
         assert (
-            plan_digest({k: v for k, v in served.items() if k != "digest"})
+            canonical_digest(
+                {k: v for k, v in served.items() if k != "digest"}
+            )
             == digest
         )
 

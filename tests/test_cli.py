@@ -218,6 +218,23 @@ class TestJsonContract:
         assert payload["error"]["kind"] == "qos_infeasible"
         assert "infeasible" in captured.err
 
+    def test_failed_command_uninstalls_tracer(self, capsys, tmp_path):
+        from repro.obs.tracing import get_tracer, uninstall
+
+        trace = tmp_path / "t.jsonl"
+        metrics = tmp_path / "m.json"
+        try:
+            code = main(
+                ["scenario", "no-such-preset",
+                 "--trace", str(trace), "--metrics", str(metrics)]
+            )
+            assert code == 1
+            assert get_tracer() is None
+        finally:
+            uninstall()
+        assert trace.exists() and metrics.exists()
+        assert "error:" in capsys.readouterr().err
+
     def test_fleet_json_stdout(self, capsys):
         code = main(
             ["fleet", "tiny", "--devices", "2", "--epochs", "0",
