@@ -170,12 +170,24 @@ def solve_mckp_dp(
 ) -> MCKPSolution:
     """Pseudo-polynomial DP solver for the minimization MCKP.
 
+    The DP keeps only the window of grid states reachable so far:
+    from the sum of the per-class minimum discretized weights up to
+    the sum of the maxima (capped at ``resolution``).  A single-item
+    class costs one vector add over that window, a multi-item class
+    one add and one minimum per item, so small or narrow instances
+    never pay for the whole ``resolution + 1`` grid.
+
+    Ties are broken deterministically, and every plan digest depends
+    on the rule: within a state the lowest item index of the class
+    wins, and overall the lowest grid state (the least discretized
+    latency) wins among equal-energy states.
+
     Args:
         classes: one item list per layer (Pareto points).
         budget: the QoS latency budget in seconds.
         resolution: number of time-grid steps the budget is split into;
-            larger = closer to the continuous optimum, cost grows
-            linearly.
+            larger = closer to the continuous optimum, and the
+            reachable window (the cost per class) grows with it.
 
     Returns:
         The minimum-energy selection whose (real-valued) total weight
@@ -207,52 +219,72 @@ def _solve_mckp_dp(
         raise QoSInfeasibleError(qos_s=budget, min_latency_s=tightest)
 
     step = budget / resolution if budget > 0 else 1.0
-    n_states = resolution + 1
-
-    def discretize(weight: float) -> int:
-        return int(math.ceil(weight / step - 1e-12))
-
     inf = float("inf")
-    dp = np.full(n_states, inf)
-    dp[0] = 0.0
-    choices: List[np.ndarray] = []
-    for k, cls in enumerate(classes):
-        new_dp = np.full(n_states, inf)
-        choice = np.full(n_states, -1, dtype=np.int32)
-        for j, item in enumerate(cls):
-            w = discretize(item.weight)
-            if w >= n_states:
-                continue
-            if w == 0:
-                candidate = dp + item.value
-            else:
-                candidate = np.full(n_states, inf)
-                candidate[w:] = dp[:-w] + item.value
-            better = candidate < new_dp
-            new_dp = np.where(better, candidate, new_dp)
-            choice[better] = j
-        if not np.isfinite(new_dp).any():
+    scratch = np.empty(resolution + 1)
+    # dp[i] is the best value of grid state lo + i; states outside the
+    # window [lo, lo + len(dp) - 1] are unreachable.
+    dp = np.zeros(1)
+    lo = 0
+    # Per class: discretized weights, and for a multi-item class the dp
+    # window it started from (with its lo) to re-derive the choice.
+    tables: List[Tuple[List[int], Optional[np.ndarray], int]] = []
+    for cls in classes:
+        weights = [
+            int(math.ceil(item.weight / step - 1e-12)) for item in cls
+        ]
+        w_min = min(weights)
+        new_lo = lo + w_min
+        if new_lo > resolution:
             # Conservative rounding pushed every candidate past the
             # grid even though the continuous instance looked feasible.
             raise QoSInfeasibleError(qos_s=budget, min_latency_s=tightest)
-        dp = new_dp
-        choices.append(choice)
+        if len(cls) == 1:
+            # In place: no table holds the current window.
+            dp = dp[: resolution - new_lo + 1]
+            np.add(dp, cls[0].value, out=dp)
+            tables.append((weights, None, 0))
+            lo = new_lo
+            continue
+        width = min(lo + len(dp) - 1 + max(weights), resolution) - new_lo + 1
+        target = np.empty(width)
+        target.fill(inf)
+        for item, w in zip(cls, weights):
+            n = min(len(dp), resolution - w - lo + 1)
+            if n <= 0:
+                continue
+            cand = np.add(dp[:n], item.value, out=scratch[:n])
+            window = target[w - w_min : w - w_min + n]
+            # fmin, not minimum: a NaN candidate never wins a state,
+            # matching the strict ``<`` the walk-back picks items with.
+            np.fmin(window, cand, out=window)
+        tables.append((weights, dp, lo))
+        dp = target
+        lo = new_lo
 
     # dp is not necessarily monotone per-state, so take the best state.
-    best_t = int(np.argmin(dp))
-    best = dp[best_t]
-    if not math.isfinite(best):
+    best_t = lo + int(np.argmin(dp))
+    if not math.isfinite(dp[best_t - lo]):
         raise QoSInfeasibleError(qos_s=budget, min_latency_s=tightest)
-    # Reconstruct the selection backwards through the choice tables.
+    # Walk back from the best state.  A multi-item class's choice is the
+    # first item whose candidate is strictly lowest -- the same sum, in
+    # the same order, the forward pass took its minimum over.
     selected: List[MCKPItem] = []
     t = best_t
     for k in range(len(classes) - 1, -1, -1):
-        j = int(choices[k][t])
-        if j < 0:
-            raise SolverError("DP reconstruction failed (corrupt tables)")
-        item = classes[k][j]
-        selected.append(item)
-        t -= discretize(item.weight)
+        weights, source, first = tables[k]
+        j = 0
+        if source is not None:
+            j = -1
+            best = inf
+            for i, (item, w) in enumerate(zip(classes[k], weights)):
+                s = t - w - first
+                if 0 <= s < len(source) and source[s] + item.value < best:
+                    best = source[s] + item.value
+                    j = i
+            if j < 0:
+                raise SolverError("DP reconstruction failed (corrupt tables)")
+        selected.append(classes[k][j])
+        t -= weights[j]
     selected.reverse()
     return MCKPSolution(items=selected)
 

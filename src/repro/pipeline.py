@@ -38,7 +38,7 @@ from .nn.graph import Model
 from .obs.registry import get_registry
 from .obs.tracing import span
 from .optimize.greedy import solve_mckp_greedy
-from .optimize.mckp import MCKPItem, solve_mckp_dp
+from .optimize.mckp import MCKPItem, min_total_weight, solve_mckp_dp
 from .optimize.qos import QoSLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids cycles
@@ -265,11 +265,9 @@ class DAEDVFSPipeline:
         """
         conv_budget = budget - fixed_overhead_s
         if conv_budget <= 0:
-            min_conv = sum(
-                min(item.weight for item in cls) for cls in classes
-            )
             raise QoSInfeasibleError(
-                qos_s=budget, min_latency_s=min_conv + fixed_overhead_s
+                qos_s=budget,
+                min_latency_s=min_total_weight(classes) + fixed_overhead_s,
             )
         return self._refine_free_plan(
             model, classes, conv_budget, budget, fixed_overhead_s

@@ -42,7 +42,7 @@ from ..nn.graph import Model
 from ..obs.audit import get_audit_log
 from ..obs.registry import get_registry
 from ..obs.tracing import span
-from ..optimize.mckp import MCKPItem, reprice_classes
+from ..optimize.mckp import MCKPItem, min_total_weight, reprice_classes
 from ..optimize.qos import QoSLevel
 from ..pipeline import DAEDVFSPipeline, OptimizationResult
 from ..units import MHZ
@@ -512,12 +512,11 @@ class PlanService:
                 ),
             )
         if plan is None:
-            min_conv = sum(
-                min(item.weight for item in cls) for cls in classes
-            )
             raise QoSInfeasibleError(
                 qos_s=result.qos_s,
-                min_latency_s=min_conv + result.fixed_overhead_s,
+                min_latency_s=(
+                    min_total_weight(classes) + result.fixed_overhead_s
+                ),
             )
         repriced = OptimizationResult(
             plan=plan,

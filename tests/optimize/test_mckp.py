@@ -1,11 +1,18 @@
 """MCKP: DP solver optimality, transformation, edge cases."""
 
+import math
+import random
+from collections import Counter
+from typing import List
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import QoSInfeasibleError, SolverError
 from repro.optimize import (
     MCKPItem,
+    MCKPSolution,
     min_total_weight,
     reprice_classes,
     solve_mckp_bruteforce,
@@ -16,6 +23,66 @@ from repro.optimize import (
 
 def item(w, v):
     return MCKPItem(weight=w, value=v)
+
+
+def _dense_reference(classes, budget, resolution):
+    """The full-grid DP the windowed solver replaced, kept as an oracle.
+
+    Every class pays for all ``resolution + 1`` states: items are
+    visited in class order with a strict ``<`` (the lowest item index
+    wins a tied state) and the final state is the first ``argmin``.
+    """
+    if not classes or any(not cls for cls in classes):
+        raise SolverError("MCKP instance needs non-empty classes")
+    if budget < 0:
+        raise SolverError(f"budget must be >= 0, got {budget}")
+    if resolution < 1:
+        raise SolverError("resolution must be >= 1")
+    tightest = min_total_weight(classes)
+    if tightest > budget:
+        raise QoSInfeasibleError(qos_s=budget, min_latency_s=tightest)
+
+    step = budget / resolution if budget > 0 else 1.0
+    n_states = resolution + 1
+
+    def discretize(weight: float) -> int:
+        return int(math.ceil(weight / step - 1e-12))
+
+    inf = float("inf")
+    dp = np.full(n_states, inf)
+    dp[0] = 0.0
+    choices: List[np.ndarray] = []
+    for cls in classes:
+        new_dp = np.full(n_states, inf)
+        choice = np.full(n_states, -1, dtype=np.int32)
+        for j, candidate_item in enumerate(cls):
+            w = discretize(candidate_item.weight)
+            if w >= n_states:
+                continue
+            if w == 0:
+                candidate = dp + candidate_item.value
+            else:
+                candidate = np.full(n_states, inf)
+                candidate[w:] = dp[:-w] + candidate_item.value
+            better = candidate < new_dp
+            new_dp = np.where(better, candidate, new_dp)
+            choice[better] = j
+        if not np.isfinite(new_dp).any():
+            raise QoSInfeasibleError(qos_s=budget, min_latency_s=tightest)
+        dp = new_dp
+        choices.append(choice)
+
+    best_t = int(np.argmin(dp))
+    if not math.isfinite(dp[best_t]):
+        raise QoSInfeasibleError(qos_s=budget, min_latency_s=tightest)
+    selected = []
+    t = best_t
+    for k in range(len(classes) - 1, -1, -1):
+        j = int(choices[k][t])
+        selected.append(classes[k][j])
+        t -= discretize(classes[k][j].weight)
+    selected.reverse()
+    return selected
 
 
 SIMPLE = [
@@ -191,6 +258,105 @@ class TestSeededRandomInstances:
             checked += 1
         # The battery must actually exercise the bound, not skip it.
         assert checked >= 40
+
+
+class TestDenseReferenceOracle:
+    """The windowed DP picks exactly what the full-grid DP picks.
+
+    Plan digests depend on the tie rule, so this battery is built to
+    tie: small integer values (equal sums at equal and at different
+    weights), duplicated items, zero weights, items past the grid,
+    single-item classes, ``resolution=1`` and ``budget=0``.  A few
+    infinite values reach the final infeasibility check.
+    """
+
+    N_INSTANCES = 2400
+
+    @staticmethod
+    def random_instance(rng):
+        resolution = rng.choice([1, 1, 2, 3, 5, 8, 13, 64, 4000])
+        budget = 0.0 if rng.random() < 0.1 else rng.uniform(0.5, 3.0)
+        step = budget / resolution if budget > 0 else 1.0
+        n_classes = rng.randint(1, 7)
+        reach = max(1, 2 * resolution // n_classes)
+        classes = []
+        for k in range(n_classes):
+            n_items = 1 if rng.random() < 0.5 else rng.randint(2, 5)
+            cls = []
+            for j in range(n_items):
+                if cls and rng.random() < 0.2:
+                    # Same weight and value as an earlier item.
+                    twin = rng.choice(cls)
+                    w, v = twin.weight, twin.value
+                else:
+                    roll = rng.random()
+                    if roll < 0.15:
+                        w = 0.0
+                    elif roll < 0.25:
+                        w = step * rng.randint(resolution + 1, resolution + 3)
+                    elif roll < 0.6:
+                        w = step * rng.randint(1, reach)
+                    else:
+                        w = rng.uniform(0.0, step * reach)
+                    roll = rng.random()
+                    if roll < 0.7:
+                        v = float(rng.randint(0, 3))
+                    elif roll < 0.97:
+                        v = rng.uniform(0.0, 4.0)
+                    else:
+                        v = math.inf
+                cls.append(MCKPItem(weight=w, value=v, payload=(k, j)))
+            classes.append(cls)
+        return classes, budget, resolution
+
+    @staticmethod
+    def outcome(solver, classes, budget, resolution):
+        try:
+            picked = solver(classes, budget, resolution)
+        except (QoSInfeasibleError, SolverError) as exc:
+            return type(exc), getattr(exc, "min_latency_s", None)
+        if isinstance(picked, MCKPSolution):
+            picked = picked.items
+        return "solved", [chosen.payload for chosen in picked]
+
+    def test_matches_dense_reference(self):
+        rng = random.Random(0xD9E)
+        kinds = Counter()
+        for _ in range(self.N_INSTANCES):
+            classes, budget, resolution = self.random_instance(rng)
+            expected = self.outcome(
+                _dense_reference, classes, budget, resolution
+            )
+            got = self.outcome(
+                lambda c, b, r: solve_mckp_dp(c, budget=b, resolution=r),
+                classes,
+                budget,
+                resolution,
+            )
+            assert got == expected, (classes, budget, resolution)
+            kinds[expected[0]] += 1
+        # Both outcomes must be exercised, not one of them skipped.
+        assert kinds["solved"] >= self.N_INSTANCES // 3
+        assert kinds[QoSInfeasibleError] >= self.N_INSTANCES // 10
+
+    def test_first_index_and_first_state_win_ties(self):
+        twins = [
+            [
+                MCKPItem(weight=1.0, value=1.0, payload="first"),
+                MCKPItem(weight=1.0, value=1.0, payload="second"),
+            ]
+        ]
+        picked = solve_mckp_dp(twins, budget=2.0, resolution=2)
+        assert [i.payload for i in picked.items] == ["first"]
+        # Equal values at different weights: the lowest state wins.
+        spread = [
+            [
+                MCKPItem(weight=2.0, value=1.0, payload="slow"),
+                MCKPItem(weight=1.0, value=1.0, payload="fast"),
+            ]
+        ]
+        picked = solve_mckp_dp(spread, budget=2.0, resolution=2)
+        assert [i.payload for i in picked.items] == ["fast"]
 
 
 class TestReprice:
