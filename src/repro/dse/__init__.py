@@ -6,6 +6,7 @@ from .space import (
     ADAPTIVE_GRANULARITY_LADDER,
     DesignSpace,
     adaptive_granularities,
+    design_space_for,
     paper_design_space,
     prune_iso_frequency,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "ADAPTIVE_GRANULARITY_LADDER",
     "DesignSpace",
     "adaptive_granularities",
+    "design_space_for",
     "paper_design_space",
     "prune_iso_frequency",
 ]

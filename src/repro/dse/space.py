@@ -11,6 +11,7 @@ The paper's Step 2 (Sec. III-B) explores three axes per layer:
 PLL configurations are pruned to the minimum-power representative
 (the Sec. II-A selection rule), since a dominated clock tuple can
 never appear in a Pareto-optimal layer solution.
+:func:`design_space_for` picks a board's canonical space.
 """
 
 from __future__ import annotations
@@ -107,6 +108,18 @@ def paper_design_space(
         hfo_configs=tuple(configs),
         lfo=lfo_config(lfo_hz),
     )
+
+
+def design_space_for(board) -> DesignSpace:
+    """A board's canonical design space: its native grid, else the paper's.
+
+    Boards carrying their own design space (non-F7 clock trees, via
+    ``Board.space_factory``) plan over it; every other board plans
+    over :func:`paper_design_space` pruned with its power model.
+    """
+    if board.space_factory is not None:
+        return board.space_factory(board)
+    return paper_design_space(board.power_model)
 
 
 #: Candidate ladder for the adaptive granularity policy.

@@ -39,7 +39,7 @@ from ..nn.graph import Model
 from ..obs.audit import get_audit_log
 from ..obs.registry import get_registry
 from ..optimize.mckp import MCKPItem, reprice_classes
-from ..pipeline import DAEDVFSPipeline, OptimizationResult
+from ..pipeline import DAEDVFSPipeline, OptimizationResult, front_classes
 from ..power.energy import EnergyInterval
 from ..power.model import PowerState
 from ..power.sensor import INA219Config
@@ -289,18 +289,9 @@ class FleetGovernor:
         self.optimized = optimized
         self.config = config or GovernorConfig()
         self.fault_clock = fault_clock
-        node_ids = sorted(optimized.pareto_fronts)
         #: Device-priced MCKP classes rebuilt from the cached fronts;
         #: every re-plan re-prices THESE -- exploration never re-runs.
-        self.base_classes = [
-            [
-                MCKPItem(
-                    weight=p.latency_s, value=p.energy_j, payload=p
-                )
-                for p in optimized.pareto_fronts[node_id]
-            ]
-            for node_id in node_ids
-        ]
+        self.base_classes = front_classes(optimized.pareto_fronts)
 
     # -- supervision state -------------------------------------------------------
 
@@ -767,12 +758,9 @@ def resolve_replan(
 
     The shared re-solve core of the governor and the scenario
     engine's clairvoyant oracle twin: re-price the device's cached
-    Pareto fronts for the drifted conditions, solve the MCKP, and
-    fall back to the uniform-frequency ladder when the free re-solve
-    lands on a mixed-frequency schedule whose sequence-dependent
-    relock overhead the knapsack cannot price.  The ladder pays at
-    most one lock and always contains the schedules the refinement
-    loop is hunting for.
+    Pareto fronts for the drifted conditions and hand them to
+    :meth:`DAEDVFSPipeline.replan`, which owns the free re-solve and
+    its uniform single-HFO fallback.
     """
     try:
         classes = reprice_classes(
@@ -782,17 +770,9 @@ def resolve_replan(
                 item.payload.hfo.sysclk_hz <= cap_hz
             ),
         )
+        return pipeline.replan(model, classes, budget, fixed)
     except ReproError:
         return None
-    try:
-        plan = pipeline.replan(model, classes, budget, fixed)
-    except ReproError:
-        plan = None
-    if plan is not None:
-        return plan
-    return pipeline.uniform_plan_from_classes(
-        model, classes, budget, fixed, max_hfo_hz=cap_hz
-    )
 
 
 def supervise_device(

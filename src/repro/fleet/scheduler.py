@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dse.space import DesignSpace, paper_design_space
+from ..dse.space import DesignSpace, design_space_for
 from ..engine.cost import TraceParams
 from ..engine.runtime import InferenceReport
 from ..errors import (
@@ -188,10 +188,13 @@ class FleetScheduler:
         # the board's canonical design space, the shared pricing state
         # and the nominal pipeline new device pipelines warm-start
         # from.  The base board's group is the historical scheduler
-        # state, and ``space`` / ``shared`` keep aliasing it.
+        # state, and ``space`` / ``shared`` keep aliasing it.  Spaces
+        # come from the *nominal* board: deriving one per perturbed
+        # device would fragment every shared cache (and real
+        # deployments ship one frequency grid per SKU, not per unit).
         base_group = _BoardGroup(
             board=self.base_board,
-            space=self._space_for(self.base_board),
+            space=design_space_for(self.base_board),
             shared=FleetSharedState(self.base_board, trace_params),
         )
         base_group.nominal = self._build_pipeline(self.base_board, base_group)
@@ -209,19 +212,6 @@ class FleetScheduler:
 
     # -- pipeline wiring ---------------------------------------------------------
 
-    @staticmethod
-    def _space_for(board: Board) -> DesignSpace:
-        """One canonical design space per board target.
-
-        The space prunes iso-frequency configs with the *nominal*
-        power model; deriving it per perturbed device would fragment
-        every shared cache (and real deployments ship one frequency
-        grid per SKU, not one per unit).
-        """
-        if board.space_factory is not None:
-            return board.space_factory(board)
-        return paper_design_space(board.power_model)
-
     def _group_for(self, board: Board) -> "_BoardGroup":
         """The pricing group of a device's board target (by name)."""
         with self._groups_lock:
@@ -231,7 +221,7 @@ class FleetScheduler:
         nominal_board = self._nominal_board_for(board)
         group = _BoardGroup(
             board=nominal_board,
-            space=self._space_for(nominal_board),
+            space=design_space_for(nominal_board),
             shared=FleetSharedState(nominal_board, self.trace_params),
         )
         group.nominal = self._build_pipeline(nominal_board, group)

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .dse.explorer import DSEExplorer, SolutionPoint
 from .dse.pareto import pareto_front
-from .dse.space import DesignSpace, paper_design_space
+from .dse.space import DesignSpace, design_space_for
 from .engine.cost import TraceParams, model_fingerprint
 from .engine.runtime import DVFSRuntime, InferenceReport
 from .engine.schedule import DeploymentPlan, LayerPlan
@@ -35,10 +35,16 @@ from .engine.tinyengine import TinyEngine, TinyEngineClockGated
 from .errors import QoSInfeasibleError, SolverError
 from .mcu.board import Board, make_nucleo_f767zi
 from .nn.graph import Model
+from .obs.audit import get_audit_log
 from .obs.registry import get_registry
 from .obs.tracing import span
 from .optimize.greedy import solve_mckp_greedy
-from .optimize.mckp import MCKPItem, min_total_weight, solve_mckp_dp
+from .optimize.mckp import (
+    MCKPItem,
+    MCKPSolution,
+    min_total_weight,
+    solve_mckp_dp,
+)
 from .optimize.qos import QoSLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids cycles
@@ -49,6 +55,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids cycles
 def _cache_event(cache: str, event: str) -> None:
     """Count one Step-2 memo-cache hit/miss in the metrics registry."""
     get_registry().count("pipeline.cache", cache=cache, event=event)
+
+
+def front_classes(
+    fronts: Dict[int, List[SolutionPoint]],
+) -> List[List[MCKPItem]]:
+    """Per-layer Pareto fronts as MCKP classes, in node-id order."""
+    return [
+        [
+            MCKPItem(weight=p.latency_s, value=p.energy_j, payload=p)
+            for p in fronts[node_id]
+        ]
+        for node_id in sorted(fronts)
+    ]
 
 
 @dataclass
@@ -136,14 +155,9 @@ class DAEDVFSPipeline:
         if max_refinements < 0:
             raise SolverError("max_refinements must be >= 0")
         self.board = board or make_nucleo_f767zi()
-        if space is None:
-            # Boards carrying their own design space (non-F7 clock
-            # trees) plan over it; everything else uses the paper grid.
-            if self.board.space_factory is not None:
-                space = self.board.space_factory(self.board)
-            else:
-                space = paper_design_space(self.board.power_model)
-        self.space = space
+        self.space = (
+            space if space is not None else design_space_for(self.board)
+        )
         self.trace_params = trace_params
         self.solver = solver
         self.dp_resolution = dp_resolution
@@ -248,16 +262,22 @@ class DAEDVFSPipeline:
     ) -> Optional[DeploymentPlan]:
         """Re-solve the MCKP over pre-priced classes -- no exploration.
 
-        The fleet governor's drift response: when a device's operating
-        conditions move (thermal leakage ramp, battery-sag frequency
-        caps), it re-prices the *cached* Pareto-front items (see
-        :func:`repro.optimize.mckp.reprice_classes`) and calls this to
-        get a fresh plan.  Runs the same solve/measure/tighten
-        refinement as :meth:`optimize` but skips Step 2 entirely.
+        The one re-plan path of the fleet governor, its oracle twin and
+        the serve layer's ``reprice`` endpoint: when a device's
+        operating conditions move (thermal leakage ramp, battery-sag
+        frequency caps), the caller re-prices the *cached* Pareto-front
+        items (see :func:`repro.optimize.mckp.reprice_classes`) and
+        calls this to get a fresh plan.  Runs the same
+        solve/measure/tighten refinement as :meth:`optimize` but skips
+        Step 2 entirely; when that free re-solve cannot converge the
+        sequence-dependent relock overhead, falls back to the best
+        uniform single-HFO schedule.  The classes already carry the
+        caller's feasibility filter (e.g. a frequency cap), so both
+        steps only ever see operating points the caller allows.
 
         Returns:
-            The refined plan, or ``None`` when no schedule over the
-            given classes can converge under the budget.
+            The refined (or uniform) plan, or ``None`` when no schedule
+            over the given classes meets the budget.
 
         Raises:
             QoSInfeasibleError: when the budget cannot even cover the
@@ -269,39 +289,43 @@ class DAEDVFSPipeline:
                 qos_s=budget,
                 min_latency_s=min_total_weight(classes) + fixed_overhead_s,
             )
-        return self._refine_free_plan(
+        plan = self._refine_free_plan(
             model, classes, conv_budget, budget, fixed_overhead_s
         )
+        if plan is None:
+            get_audit_log().record(
+                "pipeline.replan",
+                "uniform_fallback",
+                model=model.name,
+                qos_s=budget,
+            )
+            plan = self._uniform_plan_from_classes(
+                model, classes, budget, fixed_overhead_s
+            )
+        return plan
 
-    def uniform_plan_from_classes(
+    def _uniform_plan_from_classes(
         self,
         model: Model,
         classes,
         budget: float,
         fixed_overhead_s: float,
-        max_hfo_hz: float = float("inf"),
     ) -> Optional[DeploymentPlan]:
         """Best single-HFO schedule over pre-priced classes, if any.
 
-        The fallback when :meth:`replan`'s free re-solve cannot
-        converge a mixed-frequency schedule under the budget: a
-        uniform schedule pays at most one PLL lock, so its per-layer
-        prices hold without refinement.  Candidates are ranked by the
-        (possibly drift-repriced) item values, so the winner is
-        optimal for the *current* operating point among uniform
-        schedules.  Used by the fleet governor's drift response and
-        the serve layer's ``reprice`` endpoint.
+        :meth:`replan`'s fallback: a uniform schedule pays at most one
+        PLL lock, so its per-layer prices hold without refinement.
+        Candidates are ranked by the (possibly drift-repriced) item
+        values, so the winner is optimal for the *current* operating
+        point among uniform schedules.
 
         Returns:
-            The cheapest uniform schedule meeting the budget at an
-            HFO at or under ``max_hfo_hz``, or ``None`` when no
-            frequency qualifies.
+            The cheapest uniform schedule meeting the budget, or
+            ``None`` when no frequency qualifies.
         """
         best_energy = None
         best_plan = None
         for hfo in self.space.hfo_configs:
-            if hfo.sysclk_hz > max_hfo_hz:
-                continue
             picks = []
             for cls in classes:
                 matches = [
@@ -313,34 +337,16 @@ class DAEDVFSPipeline:
                 picks.append(min(matches, key=lambda item: item.value))
             if picks is None:
                 continue
-            layer_plans = {
-                item.payload.node_id: LayerPlan(
-                    node_id=item.payload.node_id,
-                    granularity=item.payload.granularity,
-                    hfo=item.payload.hfo,
-                    predicted_latency_s=item.payload.latency_s,
-                    predicted_energy_j=item.payload.energy_j,
-                )
-                for item in picks
-            }
-            plan = DeploymentPlan(
-                model_name=model.name,
-                lfo=self.space.lfo,
-                layer_plans=layer_plans,
-                qos_s=budget,
-                predicted_latency_s=(
-                    sum(i.weight for i in picks) + fixed_overhead_s
-                ),
-                predicted_energy_j=sum(i.value for i in picks),
+            plan = self._plan_from_solution(
+                model, MCKPSolution(items=picks), budget, fixed_overhead_s
             )
             actual = self.runtime.measure_latency_s(
                 model, plan, initial_config=plan.initial_config()
             )
             if actual > budget:
                 continue
-            energy = sum(item.value for item in picks)
-            if best_energy is None or energy < best_energy:
-                best_energy = energy
+            if best_energy is None or plan.predicted_energy_j < best_energy:
+                best_energy = plan.predicted_energy_j
                 best_plan = plan
         return best_plan
 
@@ -444,16 +450,7 @@ class DAEDVFSPipeline:
             )
             raise QoSInfeasibleError(qos_s=budget, min_latency_s=min_conv + fixed)
 
-        node_ids = sorted(fronts)
-        classes = [
-            [
-                MCKPItem(
-                    weight=p.latency_s, value=p.energy_j, payload=p
-                )
-                for p in fronts[node_id]
-            ]
-            for node_id in node_ids
-        ]
+        classes = front_classes(fronts)
 
         # The per-layer prices exclude inter-layer PLL re-locks (those
         # depend on the *sequence* of choices, which MCKP cannot see).

@@ -21,7 +21,7 @@ collapses to the plain fleet epoch path -- same fleet digest.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -229,10 +229,10 @@ class ServeBridge:
     """
 
     def __init__(self, config: ScenarioConfig):
-        serve_cfg = config.serve or ServeConfig()
         # Micro-batching coalesces on a wall-clock window; the engine
-        # submits strictly sequentially, so it only adds latency.
-        serve_cfg.batch_enabled = False
+        # submits strictly sequentially, so it only adds latency.  The
+        # caller's config is copied, never mutated.
+        serve_cfg = replace(config.serve or ServeConfig(), batch_enabled=False)
         self._loop = asyncio.new_event_loop()
         self._started = False
         if config.shards > 0:

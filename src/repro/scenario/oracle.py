@@ -36,8 +36,7 @@ from ..fleet.governor import (
 )
 from ..fleet.variation import DeviceProfile
 from ..nn.graph import Model
-from ..optimize.mckp import MCKPItem
-from ..pipeline import DAEDVFSPipeline, OptimizationResult
+from ..pipeline import DAEDVFSPipeline, OptimizationResult, front_classes
 
 
 class OracleTwin:
@@ -72,16 +71,7 @@ class OracleTwin:
         self.optimized = optimized
         self.config = config or GovernorConfig()
         self.quant_w = quant_w
-        node_ids = sorted(optimized.pareto_fronts)
-        self.base_classes = [
-            [
-                MCKPItem(
-                    weight=p.latency_s, value=p.energy_j, payload=p
-                )
-                for p in optimized.pareto_fronts[node_id]
-            ]
-            for node_id in node_ids
-        ]
+        self.base_classes = front_classes(optimized.pareto_fronts)
         self.start()
 
     def start(self) -> None:

@@ -21,13 +21,15 @@ computed one -- the benchmark gate.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..digest import canonical_digest
-from ..dse.space import paper_design_space
+from ..dse.space import design_space_for
 from ..engine.cost import model_fingerprint
 from ..engine.serialize import plan_to_dict
 from ..errors import ProtocolError, QoSInfeasibleError
@@ -42,9 +44,9 @@ from ..nn.graph import Model
 from ..obs.audit import get_audit_log
 from ..obs.registry import get_registry
 from ..obs.tracing import span
-from ..optimize.mckp import MCKPItem, min_total_weight, reprice_classes
+from ..optimize.mckp import min_total_weight, reprice_classes
 from ..optimize.qos import QoSLevel
-from ..pipeline import DAEDVFSPipeline, OptimizationResult
+from ..pipeline import DAEDVFSPipeline, OptimizationResult, front_classes
 from ..units import MHZ
 from .cache import PlanCache, plan_cache_key
 from .shared_cache import request_key
@@ -158,13 +160,6 @@ class PlanService:
 
     # -- wiring ------------------------------------------------------------------
 
-    @staticmethod
-    def _space_for(board: Board):
-        """The board's canonical design space (native grid or paper's)."""
-        if board.space_factory is not None:
-            return board.space_factory(board)
-        return paper_design_space(board.power_model)
-
     def _build_pipeline(
         self,
         board: Board,
@@ -179,7 +174,7 @@ class PlanService:
                 max_refinements=self.max_refinements,
             )
         state = shared_state if shared_state is not None else self.shared
-        space = self._space_for(board)
+        space = design_space_for(board)
         explorer = SharedComponentExplorer(board, space, state)
         runtime = ReplayingRuntime(board, state)
         return DAEDVFSPipeline(
@@ -451,7 +446,8 @@ class PlanService:
 
         Raises:
             QoSInfeasibleError: no schedule over the repriced classes
-                meets the stored budget.
+                meets the stored budget (``min_latency_s`` is infinite
+                when the cap leaves some layer no operating point).
         """
         model = self.resolve_model(model_name)
         key = self.cache_key(model, qos_key, board_name)
@@ -467,49 +463,27 @@ class PlanService:
         if result is None:
             _, result = self._optimize(model_name, qos_key, board_name)
         pipeline = self._state_for(board_name).pipeline
-        node_ids = sorted(result.pareto_fronts)
-        classes = [
-            [
-                MCKPItem(
-                    weight=p.latency_s, value=p.energy_j, payload=p
-                )
-                for p in result.pareto_fronts[node_id]
-            ]
-            for node_id in node_ids
-        ]
         item_filter = None
         if max_hfo_mhz is not None:
             cap_hz = max_hfo_mhz * MHZ
             item_filter = (
                 lambda item: item.payload.hfo.sysclk_hz <= cap_hz
             )
-        classes = reprice_classes(
-            classes, extra_power_w=extra_power_w, item_filter=item_filter
-        )
-        with span("serve.reprice", model=model_name) as sp:
+        try:
+            classes = reprice_classes(
+                front_classes(result.pareto_fronts),
+                extra_power_w=extra_power_w,
+                item_filter=item_filter,
+            )
+        except QoSInfeasibleError:
+            # The cap emptied a layer's class: no schedule exists under
+            # it, whatever the budget.
+            raise QoSInfeasibleError(
+                qos_s=result.qos_s, min_latency_s=math.inf
+            ) from None
+        with span("serve.reprice", model=model_name):
             plan = pipeline.replan(
                 model, classes, result.qos_s, result.fixed_overhead_s
-            )
-            sp.set(fallback=plan is None)
-        if plan is None:
-            # Free re-solve could not converge the sequence-dependent
-            # relock overhead; uniform single-HFO schedules never pay
-            # it (same fallback the fleet governor uses).
-            get_audit_log().record(
-                "serve.reprice",
-                "uniform_fallback",
-                model=model_name,
-                qos_s=result.qos_s,
-            )
-            plan = pipeline.uniform_plan_from_classes(
-                model,
-                classes,
-                result.qos_s,
-                result.fixed_overhead_s,
-                max_hfo_hz=(
-                    max_hfo_mhz * MHZ if max_hfo_mhz is not None
-                    else float("inf")
-                ),
             )
         if plan is None:
             raise QoSInfeasibleError(
@@ -518,13 +492,7 @@ class PlanService:
                     min_total_weight(classes) + result.fixed_overhead_s
                 ),
             )
-        repriced = OptimizationResult(
-            plan=plan,
-            pareto_fronts=result.pareto_fronts,
-            baseline_latency_s=result.baseline_latency_s,
-            qos_s=result.qos_s,
-            fixed_overhead_s=result.fixed_overhead_s,
-        )
+        repriced = dataclasses.replace(result, plan=plan)
         payload = self._payload(model_name, qos_key, repriced, board_name)
         payload["drift"] = {
             "extra_power_w": extra_power_w,

@@ -14,6 +14,7 @@ from repro.faults.campaign import FaultCampaign, FaultStage
 from repro.faults.plan import FaultPlan
 from repro.optimize import QoSLevel
 from repro.scenario import ConstantArrivals, ScenarioConfig, run_scenario
+from repro.scenario.engine import ServeBridge
 from repro.scenario.library import churn_heavy, flash_crowd, zero_event
 from repro.serve.server import ServeConfig
 
@@ -141,3 +142,15 @@ class TestLifecycle:
             sum(e["sheds"] for e in report.shed_timeline)
             == report.replans["shed"]
         )
+
+
+class TestServeBridge:
+    def test_bridge_leaves_caller_config_untouched(self):
+        serve_cfg = ServeConfig()
+        assert serve_cfg.batch_enabled is True
+        bridge = ServeBridge(ScenarioConfig(serve=serve_cfg))
+        try:
+            assert serve_cfg.batch_enabled is True
+            assert bridge._server.config.batch_enabled is False
+        finally:
+            bridge.close()

@@ -6,6 +6,10 @@ byte format changed, which silently breaks every stored journal,
 snapshot and report that carries the old value.  The fleet, scenario,
 plan and optimize digests are pinned in
 ``tests/boards/test_golden_digests.py`` and ``tests/faults/test_chaos.py``.
+
+The re-plan pins (serve ``reprice`` payloads and a scenario with oracle
+twins) were captured before the re-plan ladder moved into one owner,
+:meth:`repro.pipeline.DAEDVFSPipeline.replan`.
 """
 
 import hashlib
@@ -17,12 +21,16 @@ import pytest
 from repro.boards import get_spec
 from repro.boards.registry import board_names
 from repro.cli import main
+from repro.errors import QoSInfeasibleError
 from repro.faults import ChaosConfig, FaultPlan, run_campaign
 from repro.nn import build_tiny_test_model
+from repro.obs.audit import DecisionLog, get_audit_log, set_audit_log
 from repro.obs.export import trace_digest
 from repro.obs.registry import snapshot_digest
 from repro.obs.tracing import SpanRecord
 from repro.recovery.journal import encode_record
+from repro.scenario import ScenarioEngine
+from repro.scenario.library import build_preset
 from repro.serve.protocol import Response, encode_response
 from repro.serve.service import PlanService
 from repro.serve.shared_cache import wire_key
@@ -76,6 +84,22 @@ RESPONSE_LINE = (
 )
 PLAN_TINY_30_TRACE = (
     "dc04676a617cb30a914b5f239b4f7edae91d3fafb1744a4c0209faa0c6071727"
+)
+
+#: tiny at 30% after a plan, +10 mW: the free re-solve cannot converge,
+#: so the reply comes from the uniform single-HFO fallback.
+REPRICE_TINY_30_HOT = (
+    "eedfc55e674e794e9844991451bf5c4cb4156ed143c64f8893ebd2318c6d3d0d"
+)
+#: tiny at 30% capped at 108 MHz: no schedule meets the stored budget.
+REPRICE_TINY_30_CAP_108_MIN_LATENCY_S = 0.001917149330687831
+#: mbv2 at 30% capped at 168 MHz: the free solve under a cap.
+REPRICE_MBV2_30_CAP_168 = (
+    "d6fbd759930c67ce1aabeec0adb9326525dd8e61190e9ead91284b7d6b55f0cc"
+)
+#: 13 applied governor replans, 14 twin replans, both error kinds.
+BROWNOUT_SUMMER_40 = (
+    "414a69c33be75e2632ba8d712373e43c335c2a445b39364c235d39e192a16209"
 )
 
 
@@ -194,3 +218,53 @@ class TestCompactDigests:
             ],
         )
         assert payload["trace"]["digest"] == PLAN_TINY_30_TRACE
+
+
+class TestReplanDigests:
+    def test_reprice_uniform_fallback_payload(self):
+        service = PlanService()
+        service.plan("tiny", ("percent", 30.0))
+        previous = set_audit_log(DecisionLog())
+        try:
+            reply = service.reprice(
+                "tiny", ("percent", 30.0), extra_power_w=0.01
+            )
+            counts = get_audit_log().counts()
+        finally:
+            set_audit_log(previous)
+        assert reply["digest"] == REPRICE_TINY_30_HOT
+        # The fallback is recorded once, by the replan core itself.
+        assert counts["pipeline.replan:uniform_fallback"] == 1
+        assert "serve.reprice:uniform_fallback" not in counts
+
+    def test_reprice_infeasible_under_cap(self):
+        service = PlanService()
+        service.plan("tiny", ("percent", 30.0))
+        with pytest.raises(QoSInfeasibleError) as info:
+            service.reprice("tiny", ("percent", 30.0), max_hfo_mhz=108)
+        assert info.value.min_latency_s == (
+            REPRICE_TINY_30_CAP_108_MIN_LATENCY_S
+        )
+
+    def test_reprice_cap_below_every_hfo_keeps_budget(self):
+        # At 60 MHz no tiny layer keeps an operating point: the reply
+        # carries the stored budget and no finite minimum latency, not
+        # the class filter's unbudgeted error.
+        service = PlanService()
+        planned = service.plan("tiny", ("percent", 30.0))
+        with pytest.raises(QoSInfeasibleError) as info:
+            service.reprice("tiny", ("percent", 30.0), max_hfo_mhz=60)
+        assert info.value.qos_s == planned["qos"]["budget_s"] > 0.0
+        assert info.value.min_latency_s == math.inf
+
+    def test_reprice_free_solve_under_cap(self):
+        reply = PlanService().reprice(
+            "mbv2", ("percent", 30.0), max_hfo_mhz=168
+        )
+        assert reply["digest"] == REPRICE_MBV2_30_CAP_168
+
+    def test_scenario_with_twins_digest(self):
+        report = ScenarioEngine(
+            build_preset("brownout-summer", devices=40)
+        ).run()
+        assert report.digest() == BROWNOUT_SUMMER_40
