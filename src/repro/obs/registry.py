@@ -16,8 +16,7 @@ dotted ``<subsystem>.<thing>`` (``pipeline.cache``, ``fleet.pricing``,
 ``serve.sheds``); labels are short lowercase keys; event-style
 counters use an ``event`` label rather than separate families.
 
-:class:`LatencyHistogram` lives here (promoted out of
-``repro.serve.metrics``, which re-exports it for compatibility): a
+:class:`LatencyHistogram` lives here (import it from this module): a
 fixed log-spaced-bucket histogram whose percentile answers are bucket
 *upper bounds* -- a deterministic over-estimate whose relative error
 is bounded by the bucket ratio, ``10 ** (1/buckets_per_decade) - 1``

@@ -132,12 +132,6 @@ class AdmissionController:
         with self._lock:
             return self._in_flight
 
-    @property
-    def shed_count(self) -> int:
-        """Total sheds across both reasons."""
-        with self._lock:
-            return sum(self.sheds.values())
-
     def admit(self) -> int:
         """Admit one request or shed it.
 

@@ -1,20 +1,24 @@
-"""Serve-layer observability: latency histograms and counters.
+"""Serve-layer observability: the counters behind ``stats.metrics``.
 
-The ``stats`` endpoint answers straight from a
-:class:`ServeMetrics` snapshot: per-endpoint latency percentiles
-(p50/p95/p99 out of log-spaced histogram buckets plus the exact
-per-bucket counts), queue depth (current and peak), shed counts by
-reason, batch coalescing ratios and the plan cache's
-hit/miss/eviction counters.
+The ``stats`` endpoint's ``metrics`` block -- request counts by op,
+typed error counts, shed counts by reason, batch coalescing ratios and
+per-op latency histograms (p50/p95/p99 plus the exact per-bucket
+counts) -- has exactly one derivation, :func:`serve_totals`, which
+reads it out of a :meth:`~repro.obs.registry.MetricsRegistry.snapshot`.
+A single server feeds it its own registry; the shard router feeds it
+the lossless merge of its workers' registries, so both report the
+same schema from the same code.
 
-:class:`ServeMetrics` keeps its histograms as
-:class:`~repro.obs.registry.LatencyHistogram` and mirrors its counters
-into the process-wide registry, so the serve numbers appear alongside
-pipeline/fleet metrics in one
-:meth:`~repro.obs.registry.MetricsRegistry.snapshot`.
+:class:`ServeMetrics` records every counted serve event twice, into
+the same ``serve.*`` families and labels: once into its private
+per-server registry (so two servers in one process keep separate
+counts) and once into the process-wide registry (so the serve numbers
+appear alongside pipeline/fleet metrics in the ``metrics`` op, SLO
+sampling and the scenario's health gates).  The queue-depth gauges are
+server state and go to the process registry only.
 
 Everything is lock-protected and cheap to record -- one bisect and a
-few integer adds per request -- so metrics never become the reason the
+few float adds per registry -- so metrics never become the reason the
 event loop stalls.
 """
 
@@ -23,7 +27,47 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict
 
-from ..obs.registry import LatencyHistogram, get_registry
+from ..obs.registry import MetricsRegistry, get_registry
+
+
+def serve_totals(snapshot: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``metrics`` totals block of any registry snapshot.
+
+    Works on a single server's registry and on a
+    :func:`~repro.obs.registry.merge_snapshot` of many (counters and
+    histogram buckets add cell-wise, so the merged totals are the sum
+    of the per-server ones).
+    """
+    counters = snapshot.get("counters", {})
+
+    def _by_label(family: str) -> Dict[str, int]:
+        return {
+            label_repr.partition("=")[2]: int(value)
+            for label_repr, value in sorted(
+                counters.get(family, {}).items()
+            )
+        }
+
+    def _total(family: str) -> int:
+        return int(sum(counters.get(family, {}).values()))
+
+    batches = _total("serve.batches")
+    batched = _total("serve.batched_requests")
+    latency = snapshot.get("histograms", {}).get("serve.latency", {})
+    return {
+        "requests_total": _total("serve.requests"),
+        "requests_by_op": _by_label("serve.requests"),
+        "errors_by_kind": _by_label("serve.errors"),
+        "sheds_by_reason": _by_label("serve.sheds"),
+        "shed_count": _total("serve.sheds"),
+        "batches": batches,
+        "batched_requests": batched,
+        "coalesce_ratio": batched / batches if batches else 0.0,
+        "latency_by_op": {
+            label_repr.partition("=")[2]: summary
+            for label_repr, summary in sorted(latency.items())
+        },
+    }
 
 
 class ServeMetrics:
@@ -31,61 +75,45 @@ class ServeMetrics:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._latency: Dict[str, LatencyHistogram] = {}
-        self._requests: Dict[str, int] = {}
-        self._errors: Dict[str, int] = {}
-        self._sheds: Dict[str, int] = {}
+        self.registry = MetricsRegistry()
         self.queue_depth = 0
         self.queue_depth_peak = 0
-        self.batches = 0
-        self.batched_requests = 0
         self.telemetry_samples: Dict[str, Dict[str, float]] = {}
 
     # -- recording ---------------------------------------------------------------
 
     def record_request(self, op: str, latency_s: float) -> None:
         """Count one completed request and its service latency."""
-        with self._lock:
-            self._requests[op] = self._requests.get(op, 0) + 1
-            histogram = self._latency.get(op)
-            if histogram is None:
-                histogram = self._latency.setdefault(op, LatencyHistogram())
-            histogram.record(latency_s)
-        registry = get_registry()
-        registry.count("serve.requests", op=op)
-        registry.observe("serve.latency", latency_s, op=op)
+        for registry in (self.registry, get_registry()):
+            registry.count("serve.requests", op=op)
+            registry.observe("serve.latency", latency_s, op=op)
 
     def record_error(self, kind: str) -> None:
         """Count one failed request by its typed error kind."""
-        with self._lock:
-            self._errors[kind] = self._errors.get(kind, 0) + 1
-        get_registry().count("serve.errors", kind=kind)
+        for registry in (self.registry, get_registry()):
+            registry.count("serve.errors", kind=kind)
 
     def record_shed(self, reason: str) -> None:
         """Count one admission-control shed by reason."""
-        with self._lock:
-            self._sheds[reason] = self._sheds.get(reason, 0) + 1
-        get_registry().count("serve.sheds", reason=reason)
+        for registry in (self.registry, get_registry()):
+            registry.count("serve.sheds", reason=reason)
 
     def record_queue_depth(self, depth: int) -> None:
         """Track the in-flight gauge (and its high-water mark)."""
         with self._lock:
             self.queue_depth = depth
-            self.queue_depth_peak = max(self.queue_depth_peak, depth)
+            self.queue_depth_peak = peak = max(self.queue_depth_peak, depth)
+        # Server state, not a total: only the process registry
+        # publishes it (``snapshot`` reads the attributes).
         registry = get_registry()
         registry.gauge_set("serve.queue_depth", float(depth))
-        registry.gauge_set(
-            "serve.queue_depth_peak", float(self.queue_depth_peak)
-        )
+        registry.gauge_set("serve.queue_depth_peak", float(peak))
 
     def record_batch(self, size: int) -> None:
         """Count one coalesced exploration batch of ``size`` requests."""
-        with self._lock:
-            self.batches += 1
-            self.batched_requests += size
-        registry = get_registry()
-        registry.count("serve.batches")
-        registry.count("serve.batched_requests", n=size)
+        for registry in (self.registry, get_registry()):
+            registry.count("serve.batches")
+            registry.count("serve.batched_requests", n=size)
 
     def record_telemetry(
         self, model: str, predicted_j: float, measured_j: float
@@ -94,7 +122,8 @@ class ServeMetrics:
         drift = 0.0
         if predicted_j > 0:
             drift = (measured_j - predicted_j) / predicted_j
-        get_registry().count("serve.telemetry_samples", model=model)
+        for registry in (self.registry, get_registry()):
+            registry.count("serve.telemetry_samples", model=model)
         with self._lock:
             entry = self.telemetry_samples.setdefault(
                 model, {"count": 0.0, "drift_sum": 0.0, "abs_drift_max": 0.0}
@@ -110,34 +139,14 @@ class ServeMetrics:
 
     # -- reporting ---------------------------------------------------------------
 
-    @property
-    def shed_count(self) -> int:
-        """Total sheds across all reasons."""
-        with self._lock:
-            return sum(self._sheds.values())
-
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-safe copy of every metric (the ``stats`` payload)."""
+        totals = serve_totals(self.registry.snapshot())
         with self._lock:
-            requests_total = sum(self._requests.values())
-            batched = self.batched_requests
             return {
-                "requests_total": requests_total,
-                "requests_by_op": dict(self._requests),
-                "errors_by_kind": dict(self._errors),
-                "sheds_by_reason": dict(self._sheds),
-                "shed_count": sum(self._sheds.values()),
+                **totals,
                 "queue_depth": self.queue_depth,
                 "queue_depth_peak": self.queue_depth_peak,
-                "batches": self.batches,
-                "batched_requests": batched,
-                "coalesce_ratio": (
-                    batched / self.batches if self.batches else 0.0
-                ),
-                "latency_by_op": {
-                    op: histogram.to_dict(include_buckets=True)
-                    for op, histogram in sorted(self._latency.items())
-                },
                 "telemetry": {
                     model: {
                         "samples": int(entry["count"]),

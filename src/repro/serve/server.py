@@ -18,6 +18,7 @@ closes first, in-flight requests drain (bounded by
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
@@ -39,6 +40,14 @@ from .protocol import (
     error_from_exception,
 )
 from .service import PlanService, board_from_params, qos_key_from_params
+
+
+def _finite_float(value: Any) -> float:
+    """``float(value)``, refusing NaN and infinities with ValueError."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
 
 
 @dataclass
@@ -363,12 +372,12 @@ class PlanServer(JsonLinesListener):
                 ),
             )
         try:
-            extra_power_w = float(params.get("extra_power_w", 0.0))
+            extra_power_w = _finite_float(params.get("extra_power_w", 0.0))
             cap = params.get("max_hfo_mhz")
-            max_hfo_mhz = None if cap is None else float(cap)
+            max_hfo_mhz = None if cap is None else _finite_float(cap)
         except (TypeError, ValueError) as err:
             raise ProtocolError(
-                f"drift parameters must be numeric: {err}"
+                f"drift parameters must be finite numbers: {err}"
             ) from err
         return (
             (
@@ -389,11 +398,12 @@ class PlanServer(JsonLinesListener):
         if not isinstance(model, str) or not model:
             raise ProtocolError("telemetry needs a model name")
         try:
-            predicted = float(params["predicted_energy_j"])
-            measured = float(params["measured_energy_j"])
+            predicted = _finite_float(params["predicted_energy_j"])
+            measured = _finite_float(params["measured_energy_j"])
         except (KeyError, TypeError, ValueError) as err:
             raise ProtocolError(
-                f"telemetry needs numeric predicted/measured energy: {err}"
+                "telemetry needs finite numeric predicted/measured "
+                f"energy: {err}"
             ) from err
         aggregate = self.metrics.record_telemetry(
             model, predicted, measured

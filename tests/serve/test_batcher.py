@@ -36,8 +36,8 @@ class TestCoalescing:
         results, metrics = run(main())
         assert results == ["plan"] * 8
         assert len(calls) == 1
-        assert metrics.batches == 1
-        assert metrics.batched_requests == 8
+        assert metrics.snapshot()["batches"] == 1
+        assert metrics.snapshot()["batched_requests"] == 8
 
     def test_distinct_keys_run_separately(self):
         seen = []
@@ -130,8 +130,8 @@ class TestCloseAtDispatch:
         assert results[2] == 2
         assert len(calls) == 2
         # Accounting is exact: two batches, every waiter counted.
-        assert metrics.batches == 2
-        assert metrics.batched_requests == 3
+        assert metrics.snapshot()["batches"] == 2
+        assert metrics.snapshot()["batched_requests"] == 3
 
     def test_max_batch_size_is_recorded_exactly(self):
         async def main():
@@ -147,8 +147,8 @@ class TestCloseAtDispatch:
 
         results, metrics = run(main())
         assert results == ["p"] * 3
-        assert metrics.batches == 1
-        assert metrics.batched_requests == 3
+        assert metrics.snapshot()["batches"] == 1
+        assert metrics.snapshot()["batched_requests"] == 3
 
 
 class TestDeadlines:

@@ -59,7 +59,7 @@ class TestServeMetrics:
         metrics.record_shed("queue_full")
         metrics.record_shed("queue_full")
         metrics.record_shed("rate_limited")
-        assert metrics.shed_count == 3
+        assert metrics.snapshot()["shed_count"] == 3
         assert metrics.snapshot()["sheds_by_reason"]["queue_full"] == 2
 
     def test_queue_depth_peak(self):

@@ -12,8 +12,9 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.obs.prom import lint_exposition
-from repro.obs.registry import snapshot_digest
+from repro.obs.registry import get_registry, snapshot_digest
 from repro.serve.client import InProcessClient
+from repro.serve.metrics import serve_totals
 from repro.serve.router import RouterConfig, ShardRouter
 from repro.serve.server import PlanServer, ServeConfig
 
@@ -110,6 +111,66 @@ class TestServerMetricsOp:
 
         with pytest.raises(ProtocolError):
             run(scenario())
+
+    def test_each_server_counts_only_its_own_requests(self):
+        """Two servers in one process: per-server ``metrics`` blocks,
+        their sum in the process registry, one derivation for both."""
+
+        async def scenario():
+            first = PlanServer(ServeConfig(batch_window_s=0.001))
+            second = PlanServer(ServeConfig(batch_window_s=0.001))
+            try:
+                client = InProcessClient(first, client_id="a")
+                await client.request("plan", model="tiny", qos_percent=30.0)
+                await client.request("plan", model="tiny", qos_percent=30.0)
+                await client.request(
+                    "telemetry",
+                    model="tiny",
+                    predicted_energy_j=1.0,
+                    measured_energy_j=1.1,
+                )
+                await InProcessClient(second, client_id="b").request(
+                    "plan", model="tiny", qos_percent=50.0
+                )
+                await second.handle_request_dict(
+                    {
+                        "v": 1,
+                        "id": "bad",
+                        "op": "plan",
+                        "params": {"model": "resnet152", "qos_percent": 30},
+                    }
+                )
+                return first, first.stats(), second.stats()
+            finally:
+                await first.stop()
+                await second.stop()
+
+        first, a, b = run(scenario())
+        a, b = a["metrics"], b["metrics"]
+        assert a["requests_by_op"] == {"plan": 2, "telemetry": 1}
+        assert a["errors_by_kind"] == {}
+        assert b["requests_by_op"] == {"plan": 1}
+        assert b["errors_by_kind"] == {"bad_request": 1}
+        assert a["latency_by_op"]["plan"]["count"] == 2
+        assert b["latency_by_op"]["plan"]["count"] == 1
+
+        # The process registry holds the sum of both servers.
+        process = serve_totals(get_registry().snapshot())
+        for key in (
+            "requests_total", "shed_count", "batches", "batched_requests",
+        ):
+            assert process[key] == a[key] + b[key]
+        assert process["requests_by_op"] == {"plan": 3, "telemetry": 1}
+        assert process["errors_by_kind"] == {"bad_request": 1}
+        assert process["latency_by_op"]["plan"]["count"] == 3
+
+        # A server's block is serve_totals of its own registry plus
+        # the server-only fields.
+        totals = serve_totals(first.metrics.registry.snapshot())
+        assert {key: a[key] for key in totals} == totals
+        assert set(a) - set(totals) == {
+            "queue_depth", "queue_depth_peak", "telemetry",
+        }
 
 
 class TestRouterMetricsOp:

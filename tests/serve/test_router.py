@@ -185,6 +185,13 @@ class TestRouterEndToEnd:
             for w in stats["workers"].values()
         )
         assert stats["metrics"]["requests_total"] == per_worker
+        latency = stats["metrics"]["latency_by_op"]
+        assert latency["plan"]["count"] >= len(MIXED)
+        for op, summary in latency.items():
+            assert summary["count"] == sum(
+                w["metrics"]["latency_by_op"].get(op, {"count": 0})["count"]
+                for w in stats["workers"].values()
+            )
         assert health["ok"] is True
         assert set(health["workers"]) == {"0", "1"}
 

@@ -1,6 +1,7 @@
 """PlanServer endpoints, overload behavior, TCP transport, drain."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -163,6 +164,77 @@ class TestErrorsAndValidation:
             return response
 
         assert run(main())["error"]["kind"] == "bad_request"
+
+    @pytest.mark.parametrize(
+        "param,value",
+        [
+            ("extra_power_w", "nan"),
+            ("extra_power_w", "inf"),
+            ("extra_power_w", "-inf"),
+            ("max_hfo_mhz", "nan"),
+            ("max_hfo_mhz", "inf"),
+        ],
+    )
+    def test_non_finite_drift_parameters_rejected(self, param, value):
+        async def main():
+            server = make_server()
+            client = InProcessClient(server)
+            await client.request("plan", model="tiny", qos_percent=30)
+            response = await server.handle_request_dict(
+                {
+                    "v": 1,
+                    "id": "r1",
+                    "op": "reprice",
+                    "params": {
+                        "model": "tiny", "qos_percent": 30, param: value,
+                    },
+                }
+            )
+            await server.stop()
+            return response
+
+        response = run(main())
+        assert not response["ok"]
+        assert response["error"]["kind"] == "bad_request"
+
+    @pytest.mark.parametrize(
+        "field", ["predicted_energy_j", "measured_energy_j"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_telemetry_rejected(self, field, value):
+        async def main():
+            server = make_server()
+            sample = {
+                "model": "tiny",
+                "predicted_energy_j": 1.0,
+                "measured_energy_j": 1.05,
+            }
+            rejected = await server.handle_request_dict(
+                {
+                    "v": 1,
+                    "id": "bad",
+                    "op": "telemetry",
+                    "params": {**sample, field: value},
+                }
+            )
+            accepted = await server.handle_line(
+                json.dumps(
+                    {"v": 1, "id": "ok", "op": "telemetry", "params": sample}
+                )
+            )
+            await server.stop()
+            return rejected, accepted
+
+        rejected, accepted = run(main())
+        assert rejected["error"]["kind"] == "bad_request"
+
+        def strict(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        # The model's drift aggregate holds only the finite sample.
+        result = json.loads(accepted, parse_constant=strict)["result"]
+        assert result["samples"] == 1
+        assert result["mean_drift"] == pytest.approx(0.05)
 
 
 class TestOtherEndpoints:
