@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import FaultInjectionError
 from .plan import FaultClock, FaultPlan
@@ -142,8 +142,9 @@ class CampaignClocks:
     ) -> Optional[FaultClock]:
         """The device's fault clock at ``t_s`` (None between stages)."""
         index = self.campaign.stage_index_at(t_s)
-        if index is None:
-            return None
+        return None if index is None else self._clock(device_id, index)
+
+    def _clock(self, device_id: int, index: int) -> FaultClock:
         key = (device_id, index)
         clock = self._clocks.get(key)
         if clock is None:
@@ -153,6 +154,20 @@ class CampaignClocks:
             )
             self._clocks[key] = clock
         return clock
+
+    def state(self) -> List[Tuple[int, int, Dict]]:
+        """``(device_id, stage index, FaultClock.state())`` per clock
+        created so far, in key order."""
+        return [
+            (device_id, index, clock.state())
+            for (device_id, index), clock in sorted(self._clocks.items())
+        ]
+
+    def restore(self, state: List[Tuple[int, int, Dict]]) -> None:
+        """Return to a :meth:`state` snapshot."""
+        self._clocks = {}
+        for device_id, index, clock_state in state:
+            self._clock(device_id, index).restore(clock_state)
 
     def injected_by_kind(self) -> Dict[str, int]:
         """Total injections across every device and stage (JSON-ready)."""

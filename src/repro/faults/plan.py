@@ -272,6 +272,26 @@ class FaultClock:
         """A shard worker is SIGKILLed mid-request (serve tier)."""
         return self.trips(FaultKind.WORKER_KILL)
 
+    # -- checkpointing ------------------------------------------------------
+
+    def state(self) -> Dict:
+        """The draw position: per-kind RNG states and counters."""
+        return {
+            "rng_states": {
+                kind: rng.bit_generator.state
+                for kind, rng in self._rngs.items()
+            },
+            "opportunities": dict(self.opportunities),
+            "injected": dict(self.injected),
+        }
+
+    def restore(self, state: Dict) -> None:
+        """Return to a :meth:`state` snapshot."""
+        for kind, rng_state in state["rng_states"].items():
+            self._rngs[kind].bit_generator.state = rng_state
+        self.opportunities = dict(state["opportunities"])
+        self.injected = dict(state["injected"])
+
     # -- reporting ----------------------------------------------------------
 
     @property

@@ -8,6 +8,7 @@ aggregation (:mod:`.report`).
 """
 
 from .governor import (
+    DeviceState,
     EpochSample,
     FleetGovernor,
     GovernorConfig,
@@ -32,6 +33,7 @@ from .variation import (
 __all__ = [
     "DeviceProfile",
     "DeviceResult",
+    "DeviceState",
     "DeviceSummary",
     "EpochSample",
     "FleetGovernor",

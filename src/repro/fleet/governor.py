@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..analysis.battery import BatteryState
 from ..engine.schedule import DeploymentPlan, LayerPlan
@@ -43,6 +43,7 @@ from ..pipeline import DAEDVFSPipeline, OptimizationResult, front_classes
 from ..power.energy import EnergyInterval
 from ..power.model import PowerState
 from ..power.sensor import INA219Config
+from ..power.thermal import ThermalModelParams
 from .variation import DeviceProfile
 
 #: Sentinel distinguishing "use the governor's own fault clock" from an
@@ -146,10 +147,11 @@ class EpochSample:
 class ReplanIntent:
     """A replan the governor wants but has not applied yet.
 
-    Produced by :meth:`FleetGovernor.step` in ``defer_replan`` mode so
-    an external control plane (the scenario engine routes these through
-    the serve tier's admission) can approve or shed the re-solve before
-    it is applied.
+    Returned by :meth:`FleetGovernor.step` so a control plane can
+    approve the re-solve (:meth:`FleetGovernor.apply_replan`) or shed
+    it (:meth:`FleetGovernor.decline_replan`).  :meth:`supervise`
+    approves every one; the scenario engine first routes each through
+    the serve tier's admission.
 
     Attributes:
         device_id: the device asking to re-plan.
@@ -168,6 +170,165 @@ class ReplanIntent:
     cap_hz: float
     drift: float
     reason: str
+
+
+class SampleLog:
+    """Append-only epoch history that successive records share.
+
+    :meth:`appended` extends the shared list in place when this log
+    is its longest view -- O(1), the one-record-per-epoch case -- and
+    copies only when an older record is extended a second time (a
+    restored or forked state).  No element below a log's length is
+    ever rewritten, so every log reads the same forever.
+    """
+
+    __slots__ = ("_items", "_n")
+
+    def __init__(self, items=()) -> None:
+        self._items = list(items)
+        self._n = len(self._items)
+
+    def appended(self, sample: EpochSample) -> "SampleLog":
+        log = SampleLog.__new__(SampleLog)
+        items = self._items
+        log._items = items if len(items) == self._n else items[: self._n]
+        log._items.append(sample)
+        log._n = self._n + 1
+        return log
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return iter(self._items[: self._n])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SampleLog) and list(self) == list(other)
+
+    def __reduce__(self):
+        return SampleLog, (self._items[: self._n],)
+
+
+class DeviceState(NamedTuple):
+    """Everything about one device that changes between epochs.
+
+    An immutable value: an epoch, an idle stretch, an ambient shift or
+    a replan decision each yield a new record (``_replace``), so a
+    checkpoint stores the record and no field can be left out of it.
+    A named tuple because the scenario loop builds several per epoch:
+    ``_replace`` costs about a quarter of ``dataclasses.replace``.
+    The oracle twin uses the physics (plan, battery, thermal,
+    temperature) and leaves the telemetry fields empty.
+
+    Attributes:
+        plan: the plan currently in force.
+        battery: the cell's discharge state.
+        thermal: the device's thermal network; only its ambient moves.
+        temperature: junction temperature.
+        samples: telemetry of every decided epoch, in order.
+        pending: the latest epoch's sample while the replan it asked
+            for awaits :meth:`FleetGovernor.apply_replan` or
+            :meth:`FleetGovernor.decline_replan`; None otherwise.
+        compensated_w: extra leakage power the plan's pricing already
+            accounts for (set at re-plan time); drift is measured
+            against the prediction *including* this compensation.
+        epoch: epochs stepped since deployment.
+        replans: re-solves applied.
+        invalid_streak: consecutive epochs with unusable telemetry;
+            widens the drift window the first fresh measurement is
+            judged against.
+        invalid_epochs / css_events / watchdog_resets / pll_retries:
+            running totals over the epochs.
+    """
+
+    plan: DeploymentPlan
+    battery: BatteryState
+    thermal: ThermalModelParams
+    temperature: float
+    samples: SampleLog
+    pending: Optional[EpochSample] = None
+    compensated_w: float = 0.0
+    epoch: int = 0
+    replans: int = 0
+    invalid_streak: int = 0
+    invalid_epochs: int = 0
+    css_events: int = 0
+    watchdog_resets: int = 0
+    pll_retries: int = 0
+
+    @classmethod
+    def deployed(
+        cls, profile: DeviceProfile, plan: DeploymentPlan
+    ) -> "DeviceState":
+        """The device as shipped: ``plan`` in force, die at ambient."""
+        return cls(
+            plan=plan,
+            battery=profile.battery,
+            thermal=profile.thermal,
+            temperature=profile.thermal.t_ambient_c,
+            samples=SampleLog(),
+        )
+
+    @property
+    def extra_w(self) -> float:
+        """Thermal excess leakage over the calibration reference."""
+        thermal = self.thermal
+        return thermal.leakage_at(self.temperature) - thermal.leakage_ref_w
+
+    def with_ambient(self, t_ambient_c: float) -> "DeviceState":
+        """The device moved into a new ambient temperature.
+
+        Only the thermal network's relaxation target moves; the leakage
+        calibration reference stays at deployment conditions, so a
+        hotter ambient raises the junction trajectory and with it the
+        thermal excess the governor must compensate.
+        """
+        return self._replace(
+            thermal=replace(self.thermal, t_ambient_c=t_ambient_c)
+        )
+
+    def idled(
+        self, duration_s: float, sleep_power_w: float = 0.25e-3
+    ) -> "DeviceState":
+        """The device after a window-free stretch of time.
+
+        The device sleeps: the cell drains at the sleep floor and the
+        die relaxes toward its (sleep-power) steady state on the exact
+        exponential solution of the RC model -- idle stretches span
+        many thermal time constants, where the per-window explicit
+        Euler step would be unstable.  No RNG is consumed, so idling
+        never shifts the telemetry noise stream.
+        """
+        if duration_s < 0:
+            raise PowerModelError("duration_s must be >= 0")
+        thermal = self.thermal
+        t_ss = thermal.t_ambient_c + sleep_power_w * thermal.r_th_c_per_w
+        decay = math.exp(-duration_s / thermal.time_constant_s)
+        return self._replace(
+            battery=self.battery.discharged(sleep_power_w * duration_s),
+            temperature=t_ss + (self.temperature - t_ss) * decay,
+        )
+
+    def decided(self, sample: EpochSample) -> "DeviceState":
+        """The record with its pending epoch settled: ``sample`` (the
+        pending one, marked ``replanned`` if a plan landed) joins
+        ``samples``."""
+        return self._replace(
+            samples=self.samples.appended(sample), pending=None
+        )
+
+    def after_windows(
+        self, avg_power_w: float, duration_s: float
+    ) -> Tuple[BatteryState, float]:
+        """Battery and junction temperature after ``duration_s`` of
+        back-to-back windows at ``avg_power_w``: the die integrates
+        toward its operating temperature, the cell drains."""
+        return (
+            self.battery.discharged(avg_power_w * duration_s),
+            self.thermal.temperature_step(
+                self.temperature, avg_power_w, duration_s
+            ),
+        )
 
 
 @dataclass
@@ -272,6 +433,13 @@ class FleetGovernor:
     epoch rather than killing the supervision loop.  ``fault_clock``
     is ``None`` by default, in which case every epoch is bit-identical
     to the fault-free governor.
+
+    Everything of the governor's own that changes between epochs lives
+    in :attr:`state`, a frozen :class:`DeviceState`, plus the noise
+    stream of :attr:`sensor`; no other attribute is rebound after
+    construction.  An injected ``fault_clock`` is the caller's object:
+    its RNG streams advance as the epochs draw faults, and the caller
+    checkpoints them (the scenario engine stores its campaign clocks).
     """
 
     def __init__(
@@ -292,115 +460,34 @@ class FleetGovernor:
         #: Device-priced MCKP classes rebuilt from the cached fronts;
         #: every re-plan re-prices THESE -- exploration never re-runs.
         self.base_classes = front_classes(optimized.pareto_fronts)
-
-    # -- supervision state -------------------------------------------------------
+        self.sensor = profile.make_sensor(
+            self.config.sensor_config, fault_clock=fault_clock
+        )
+        self.start()
 
     def start(self) -> None:
-        """(Re)initialize the supervision state.
-
-        :meth:`supervise` calls this implicitly; external drivers (the
-        scenario engine, tests) call it once and then drive
-        :meth:`step` with injected timestamps.  Calling it again
-        restarts supervision from the deployment plan with a fresh
-        sensor stream, exactly like a second :meth:`supervise` call.
-        """
-        profile = self.profile
-        self._sensor = profile.make_sensor(
-            self.config.sensor_config, fault_clock=self.fault_clock
-        )
-        self._plan = self.optimized.plan
-        self._battery = profile.battery
-        self._thermal = profile.thermal
-        self._temperature = self._thermal.t_ambient_c
-        #: Extra leakage power the current plan's pricing already
-        #: accounts for (set at re-plan time); drift is measured
-        #: against prediction *including* this compensation.
-        self._compensated_w = 0.0
-        self._samples: List[EpochSample] = []
-        self._replans = 0
-        #: Consecutive epochs with unusable telemetry; widens the
-        #: drift window the first fresh measurement is judged against.
-        self._invalid_streak = 0
-        self._invalid_epochs = 0
-        self._css_events = 0
-        self._watchdog_resets = 0
-        self._pll_retries = 0
-        self._epoch = 0
-        self._pending: Optional[ReplanIntent] = None
-        self._started = True
-
-    # Read-only views the scenario engine consumes between steps.
-
-    @property
-    def battery_state(self) -> BatteryState:
-        """The cell's current discharge state."""
-        self._require_started()
-        return self._battery
-
-    @property
-    def temperature_c(self) -> float:
-        """Current junction temperature."""
-        self._require_started()
-        return self._temperature
+        """Restart from the deployment plan with a re-seeded sensor."""
+        self.sensor.reset()
+        self.state = DeviceState.deployed(self.profile, self.optimized.plan)
 
     @property
     def plan(self) -> DeploymentPlan:
         """The plan currently in force."""
-        self._require_started()
-        return self._plan
-
-    @property
-    def epochs_run(self) -> int:
-        """Epochs stepped since :meth:`start`."""
-        self._require_started()
-        return self._epoch
-
-    @property
-    def pending_replan(self) -> Optional[ReplanIntent]:
-        """The deferred replan awaiting :meth:`apply_replan`, if any."""
-        self._require_started()
-        return self._pending
-
-    def _require_started(self) -> None:
-        if not getattr(self, "_started", False):
-            self.start()
+        return self.state.plan
 
     # -- external-environment hooks (scenario engine) ----------------------------
 
     def set_ambient(self, t_ambient_c: float) -> None:
-        """Move the device into a new ambient temperature.
-
-        Only the thermal network's relaxation target moves; the leakage
-        calibration reference stays at deployment conditions, so a
-        hotter ambient raises the junction trajectory and with it the
-        thermal excess the governor must compensate.
-        """
-        self._require_started()
-        self._thermal = replace(self._thermal, t_ambient_c=t_ambient_c)
+        """Move the device into a new ambient temperature."""
+        self.state = self.state.with_ambient(t_ambient_c)
 
     def set_battery(self, battery: BatteryState) -> None:
         """Replace the cell state (swap / recharge events)."""
-        self._require_started()
-        self._battery = battery
+        self.state = self.state._replace(battery=battery)
 
     def idle(self, duration_s: float, sleep_power_w: float = 0.25e-3) -> None:
-        """Advance physics across a window-free stretch of time.
-
-        The device sleeps: the cell drains at the sleep floor and the
-        die relaxes toward its (sleep-power) steady state on the exact
-        exponential solution of the RC model -- idle stretches span
-        many thermal time constants, where the per-window explicit
-        Euler step would be unstable.  No RNG is consumed, so idling
-        never shifts the telemetry noise stream.
-        """
-        self._require_started()
-        if duration_s < 0:
-            raise PowerModelError("duration_s must be >= 0")
-        thermal = self._thermal
-        self._battery = self._battery.discharged(sleep_power_w * duration_s)
-        t_ss = thermal.t_ambient_c + sleep_power_w * thermal.r_th_c_per_w
-        decay = math.exp(-duration_s / thermal.time_constant_s)
-        self._temperature = t_ss + (self._temperature - t_ss) * decay
+        """Advance physics across a window-free stretch of time."""
+        self.state = self.state.idled(duration_s, sleep_power_w)
 
     # -- the supervision loop ----------------------------------------------------
 
@@ -409,63 +496,62 @@ class FleetGovernor:
 
         The zero-argument path: epoch *k* is measured at
         ``k * epoch_s``, exactly the back-to-back window train the
-        fleet path has always simulated.  Equivalent to ``start()``,
-        ``epochs`` calls to ``step()`` and ``result()``.
+        fleet path has always simulated, and every replan the epoch
+        asks for is applied at once (admission always granted).
         """
         self.start()
         for epoch in range(self.config.epochs):
-            self.step(epoch * self.config.epoch_s)
+            _sample, intent = self.step(epoch * self.config.epoch_s)
+            if intent is not None:
+                self.apply_replan(intent)
         return self.result()
 
     def step(
         self,
         now: Optional[float] = None,
         fault_clock=_UNSET,
-        defer_replan: bool = False,
-    ) -> EpochSample:
+    ) -> Tuple[EpochSample, Optional[ReplanIntent]]:
         """Run one telemetry epoch at an injected timestamp.
 
         Args:
             now: absolute simulation time the epoch's measurement
                 starts at; the INA219's deterministic thermal drift is
                 a function of this time.  ``None`` keeps the internal
-                clock (``epochs_run * epoch_s``).
+                clock (``state.epoch * epoch_s``).
             fault_clock: per-step fault stream override (the scenario
                 engine stages campaign windows this way); omitted, the
                 governor's own clock applies.
-            defer_replan: do not apply a triggered re-plan inline;
-                publish it as :attr:`pending_replan` for an external
-                control plane to :meth:`apply_replan` or
-                :meth:`decline_replan`.  With admission always granted
-                the apply path is bit-identical to the inline path.
 
         Returns:
-            The epoch's :class:`EpochSample` (also appended to the
-            supervision record).
+            The epoch's :class:`EpochSample` and the
+            :class:`ReplanIntent` the epoch triggered, if any.  The
+            sample joins ``state.samples`` at once, or -- with an
+            intent -- waits in ``state.pending`` until the intent is
+            passed to :meth:`apply_replan` or :meth:`decline_replan`
+            (or lapses at the next step).
         """
-        self._require_started()
         cfg = self.config
         profile = self.profile
+        state = self.state
         fault = self.fault_clock if fault_clock is _UNSET else fault_clock
         budget = self.optimized.qos_s
-        fixed = self.optimized.fixed_overhead_s
-        thermal = self._thermal
-        sensor = self._sensor
+        sensor = self.sensor
         sensor.fault_clock = fault
         hfo_configs = self.pipeline.space.hfo_configs
         runtime = self.pipeline.runtime
-        epoch = self._epoch
+        epoch = state.epoch
         if now is None:
             now = epoch * cfg.epoch_s
-        self._pending = None
+        if state.pending is not None:
+            state = state.decided(state.pending)  # the intent lapsed
 
-        cap_hz = self._battery.max_sysclk_hz()
+        cap_hz = state.battery.max_sysclk_hz()
         if fault is not None and fault.brownout_sag():
             # The rail sags below nominal for this epoch: derate
             # the sustainable SYSCLK on top of the battery cap.
             cap_hz *= fault.plan.brownout_derate
         exec_plan, clamped = clamp_plan_to_cap(
-            self._plan, cap_hz, hfo_configs
+            state.plan, cap_hz, hfo_configs
         )
         try:
             ref = runtime.run(
@@ -479,8 +565,6 @@ class FleetGovernor:
             # The window itself died (watchdog never made forward
             # progress, PLL never locked): a missed, invalid epoch.
             # The plan is held; the next epoch tries again.
-            self._invalid_streak += 1
-            self._invalid_epochs += 1
             get_audit_log().record(
                 "governor.epoch",
                 "window_failed",
@@ -498,20 +582,19 @@ class FleetGovernor:
                 drift=0.0,
                 met_qos=False,
                 clamped=clamped,
-                temperature_c=self._temperature,
-                charge_fraction=self._battery.charge_fraction,
+                temperature_c=state.temperature,
+                charge_fraction=state.battery.charge_fraction,
                 replanned=False,
                 valid=False,
             )
-            self._samples.append(sample)
-            self._epoch += 1
-            return sample
-        self._css_events += ref.css_events
-        self._watchdog_resets += ref.watchdog_resets
-        self._pll_retries += ref.pll_retries
-        extra_w = (
-            thermal.leakage_at(self._temperature) - thermal.leakage_ref_w
-        )
+            self.state = state._replace(
+                epoch=epoch + 1,
+                invalid_streak=state.invalid_streak + 1,
+                invalid_epochs=state.invalid_epochs + 1,
+                samples=state.samples.appended(sample),
+            )
+            return sample, None
+        extra_w = state.extra_w
         # The window as the silicon actually burns it: leaky
         # states carry the thermal excess on top of the calibrated
         # model.
@@ -551,7 +634,7 @@ class FleetGovernor:
                 {s.power_w for s in train}
             ) == 1:
                 telemetry_valid = False
-        predicted = ref.energy_j + self._compensated_w * leaky_t
+        predicted = ref.energy_j + state.compensated_w * leaky_t
         if telemetry_valid:
             measured = sensor.estimate_energy(train)
             drift = (
@@ -562,7 +645,6 @@ class FleetGovernor:
         else:
             measured = 0.0
             drift = 0.0
-            self._invalid_epochs += 1
         window_s = ref.qos_s if ref.qos_s is not None else ref.latency_s
         avg_power = true_energy / window_s if window_s > 0 else 0.0
         met = ref.met_qos
@@ -572,46 +654,34 @@ class FleetGovernor:
         # otherwise read as drift); QoS-miss and clamp triggers
         # stay live -- they come from the run, not the sensor.
         threshold = cfg.drift_threshold * min(
-            cfg.widen_factor**self._invalid_streak, cfg.max_widen
+            cfg.widen_factor**state.invalid_streak, cfg.max_widen
         )
         drift_trigger = telemetry_valid and abs(drift) > threshold
-        wants_replan = (
-            not met or clamped or drift_trigger
-        ) and self._replans < cfg.max_replans
-        replanned = False
-        if wants_replan and not defer_replan:
-            new_plan = self._replan(extra_w, cap_hz, budget, fixed)
-            if new_plan is not None:
-                self._plan = new_plan
-                self._compensated_w = extra_w
-                self._replans += 1
-                replanned = True
-        elif wants_replan:
-            self._pending = ReplanIntent(
-                device_id=profile.device_id,
-                epoch=epoch,
-                extra_w=extra_w,
-                cap_hz=cap_hz,
-                drift=drift,
-                reason=(
-                    "qos_miss"
-                    if not met
-                    else ("clamped" if clamped else "drift")
-                ),
-            )
-        # Audit the epoch's decision with the inputs it was made
-        # from -- strictly observational, recorded after every
-        # value above is already computed.
-        if replanned:
-            decision = "replan"
-        elif self._pending is not None:
-            decision = "replan_pending"
-        elif not met or clamped or drift_trigger:
-            decision = "replan_unavailable"
+        intent = None
+        if not met or clamped or drift_trigger:
+            if state.replans < cfg.max_replans:
+                intent = ReplanIntent(
+                    device_id=profile.device_id,
+                    epoch=epoch,
+                    extra_w=extra_w,
+                    cap_hz=cap_hz,
+                    drift=drift,
+                    reason=(
+                        "qos_miss"
+                        if not met
+                        else ("clamped" if clamped else "drift")
+                    ),
+                )
+                decision = "replan_pending"
+            else:
+                decision = "replan_unavailable"
         elif not telemetry_valid:
             decision = "hold_invalid_telemetry"
         else:
             decision = "hold"
+        # Audit the epoch's decision with the inputs it was made
+        # from -- strictly observational, recorded after every
+        # value above is already computed.
         get_audit_log().record(
             "governor.epoch",
             decision,
@@ -626,18 +696,10 @@ class FleetGovernor:
             telemetry_valid=telemetry_valid,
         )
         get_registry().count("fleet.governor", event=decision)
-        self._invalid_streak = (
-            0 if telemetry_valid else self._invalid_streak + 1
-        )
 
-        # Epoch bookkeeping: the die integrates toward its
-        # operating temperature, the cell drains by the epoch's
-        # true energy.  Physics advance even when telemetry was
-        # unusable -- the window still ran and burned energy.
-        self._battery = self._battery.discharged(avg_power * cfg.epoch_s)
-        self._temperature = thermal.temperature_step(
-            self._temperature, avg_power, cfg.epoch_s
-        )
+        # Physics advance even when telemetry was unusable -- the
+        # window still ran and burned energy.
+        battery, temperature = state.after_windows(avg_power, cfg.epoch_s)
         sample = EpochSample(
             epoch=epoch,
             measured_energy_j=measured,
@@ -645,42 +707,58 @@ class FleetGovernor:
             drift=drift,
             met_qos=met,
             clamped=clamped,
-            temperature_c=self._temperature,
-            charge_fraction=self._battery.charge_fraction,
-            replanned=replanned,
+            temperature_c=temperature,
+            charge_fraction=battery.charge_fraction,
+            replanned=False,
             valid=telemetry_valid,
             true_energy_j=true_energy,
         )
-        self._samples.append(sample)
-        self._epoch += 1
-        return sample
+        self.state = state._replace(
+            battery=battery,
+            temperature=temperature,
+            epoch=epoch + 1,
+            invalid_streak=0 if telemetry_valid else state.invalid_streak + 1,
+            invalid_epochs=state.invalid_epochs + (not telemetry_valid),
+            css_events=state.css_events + ref.css_events,
+            watchdog_resets=state.watchdog_resets + ref.watchdog_resets,
+            pll_retries=state.pll_retries + ref.pll_retries,
+            samples=(
+                state.samples.appended(sample) if intent is None
+                else state.samples
+            ),
+            pending=None if intent is None else sample,
+        )
+        return sample, intent
 
-    def apply_replan(self) -> bool:
-        """Apply the pending deferred re-plan; True when a plan landed.
+    def apply_replan(self, intent: ReplanIntent) -> bool:
+        """Apply a replan the latest :meth:`step` asked for.
 
-        Bit-identical to the inline path of :meth:`step`: the re-solve
-        runs with exactly the inputs the trigger fired on.  Clears the
-        pending intent either way.
+        The re-solve runs with exactly the inputs the trigger fired
+        on; a landed plan marks the epoch's sample ``replanned``.
+
+        Returns:
+            True when a plan landed; False when no schedule fits.
         """
-        self._require_started()
-        intent = self._pending
-        if intent is None:
-            raise ReproError("no pending replan to apply")
-        self._pending = None
-        budget = self.optimized.qos_s
-        fixed = self.optimized.fixed_overhead_s
-        new_plan = self._replan(
-            intent.extra_w, intent.cap_hz, budget, fixed
+        state = self._latest_step(intent)
+        new_plan = resolve_replan(
+            self.pipeline,
+            self.model,
+            self.base_classes,
+            extra_w=intent.extra_w,
+            cap_hz=intent.cap_hz,
+            budget=self.optimized.qos_s,
+            fixed=self.optimized.fixed_overhead_s,
         )
         applied = new_plan is not None
+        sample = state.pending
         if applied:
-            self._plan = new_plan
-            self._compensated_w = intent.extra_w
-            self._replans += 1
-            if self._samples:
-                self._samples[-1] = replace(
-                    self._samples[-1], replanned=True
-                )
+            state = state._replace(
+                plan=new_plan,
+                compensated_w=intent.extra_w,
+                replans=state.replans + 1,
+            )
+            sample = replace(sample, replanned=True)
+        self.state = state.decided(sample)
         decision = "replan" if applied else "replan_unavailable"
         get_audit_log().record(
             "governor.epoch",
@@ -694,13 +772,12 @@ class FleetGovernor:
         get_registry().count("fleet.governor", event=decision)
         return applied
 
-    def decline_replan(self, reason: str = "shed") -> None:
-        """Drop the pending re-plan (control plane shed the request)."""
-        self._require_started()
-        intent = self._pending
-        if intent is None:
-            raise ReproError("no pending replan to decline")
-        self._pending = None
+    def decline_replan(
+        self, intent: ReplanIntent, reason: str = "shed"
+    ) -> None:
+        """Drop a replan (the control plane shed the request)."""
+        state = self._latest_step(intent)
+        self.state = state.decided(state.pending)
         get_audit_log().record(
             "governor.epoch",
             "replan_shed",
@@ -711,36 +788,37 @@ class FleetGovernor:
         )
         get_registry().count("fleet.governor", event="replan_shed")
 
+    def _latest_step(self, intent: ReplanIntent) -> DeviceState:
+        """The state, once ``intent`` is known to be from this
+        governor's latest step and not yet applied or declined."""
+        state = self.state
+        if (
+            intent.device_id != self.profile.device_id
+            or intent.epoch != state.epoch - 1
+            or state.pending is None
+        ):
+            raise ReproError(
+                f"replan intent for device {intent.device_id} epoch "
+                f"{intent.epoch} is stale or already decided"
+            )
+        return state
+
     def result(self) -> GovernorResult:
         """The supervision record accumulated so far."""
-        self._require_started()
+        state = self.state
+        samples = list(state.samples)
+        if state.pending is not None:
+            samples.append(state.pending)
         return GovernorResult(
             profile=self.profile,
-            final_plan=self._plan,
-            samples=self._samples,
-            replans=self._replans,
+            final_plan=state.plan,
+            samples=samples,
+            replans=state.replans,
             drift_threshold=self.config.drift_threshold,
-            invalid_epochs=self._invalid_epochs,
-            css_events=self._css_events,
-            watchdog_resets=self._watchdog_resets,
-            pll_retries=self._pll_retries,
-        )
-
-    def _replan(
-        self,
-        extra_w: float,
-        cap_hz: float,
-        budget: float,
-        fixed: float,
-    ) -> Optional[DeploymentPlan]:
-        return resolve_replan(
-            self.pipeline,
-            self.model,
-            self.base_classes,
-            extra_w=extra_w,
-            cap_hz=cap_hz,
-            budget=budget,
-            fixed=fixed,
+            invalid_epochs=state.invalid_epochs,
+            css_events=state.css_events,
+            watchdog_resets=state.watchdog_resets,
+            pll_retries=state.pll_retries,
         )
 
 

@@ -125,6 +125,15 @@ class INA219Sensor:
         """Re-seed the noise generator (drift is deterministic in time)."""
         self._rng = np.random.default_rng(self._seed)
 
+    @property
+    def rng_state(self) -> dict:
+        """The noise generator's position (what a checkpoint stores)."""
+        return self._rng.bit_generator.state
+
+    @rng_state.setter
+    def rng_state(self, state: dict) -> None:
+        self._rng.bit_generator.state = state
+
     def _drift(self, time_s: float) -> float:
         cfg = self.config
         if cfg.drift_amplitude_w == 0.0:

@@ -12,13 +12,16 @@ digest equals the uninterrupted run's.  That invariant is enforced in
 ``tests/scenario/test_checkpoint.py`` and gated in
 ``benchmarks/bench_scenario.py``.
 
-The snapshot deliberately stores *state dicts*, not live objects with
-pipelines inside: governors, oracle twins and fault clocks are rebuilt
-deterministically from the config on resume and only their mutable
-attributes (battery, thermal, plan, counters, RNG bit-generator
-states) are restored.  That keeps checkpoints small, avoids pickling
-thread locks, and doubles as a schema the next session can evolve
-behind ``version``.
+The snapshot deliberately stores *state records*, not live objects
+with pipelines inside: governors, oracle twins and fault clocks are
+rebuilt deterministically from the config on resume, then handed back
+the state they exported -- a governor's frozen
+:class:`~repro.fleet.governor.DeviceState` plus its sensor's RNG
+state, a twin's :class:`~repro.scenario.oracle.TwinState`, the serve
+bridge's ``state()``.  No private attribute is read, so a field added
+to a record is checkpointed with it.  That keeps checkpoints small,
+avoids pickling thread locks, and leaves a schema that evolves behind
+``version``.
 
 One deliberate exception: ``config`` is pickled whole, and stochastic
 arrival models carry their lazily-spawned per-device RNG streams as
@@ -35,8 +38,9 @@ from typing import Any, Dict, List, Tuple
 
 from ..errors import ReproError
 
-#: Bumped on incompatible snapshot-schema changes.
-CHECKPOINT_VERSION = 1
+#: Bumped on incompatible snapshot-schema changes (2: governor and
+#: twin state as records instead of per-attribute dicts).
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -51,14 +55,16 @@ class ScenarioCheckpoint:
         clock_now: the simulated clock.
         queue_heap / queue_seq: the pending event heap, verbatim.
         churn_rng_state: the churn victim-picker bit-generator state.
-        campaign_clocks: per ``(device, stage)`` fault-clock counters
-            and per-kind RNG states.
-        governors: per-device governor snapshots, in registration
-            order (report row order derives from it), each carrying
-            the device's pool index so joined devices can be rebuilt.
-        twins: per-device oracle-twin snapshots.
-        engine: engine-level sets, counters and timelines.
-        serve: serve-bridge counters plus admission/token-bucket state.
+        campaign_clocks: :meth:`CampaignClocks.state` -- per
+            ``(device, stage)`` fault-clock counters and RNG states.
+        governors: ``(device_id, DeviceState, sensor RNG state)`` per
+            governor, in registration order (report row order derives
+            from it).
+        twins: ``(device_id, TwinState)`` per oracle twin.
+        engine: engine-level sets, counters and timelines; its
+            ``planned_pool_indices`` let resume rebuild joined devices.
+        serve: :meth:`ServeBridge.state` -- bridge counters plus
+            admission/token-bucket state.
     """
 
     config: Any
@@ -68,9 +74,9 @@ class ScenarioCheckpoint:
     queue_heap: List[Tuple] = field(default_factory=list)
     queue_seq: int = 0
     churn_rng_state: Dict[str, Any] = field(default_factory=dict)
-    campaign_clocks: List[Dict[str, Any]] = field(default_factory=list)
-    governors: List[Dict[str, Any]] = field(default_factory=list)
-    twins: List[Dict[str, Any]] = field(default_factory=list)
+    campaign_clocks: List[Tuple] = field(default_factory=list)
+    governors: List[Tuple] = field(default_factory=list)
+    twins: List[Tuple] = field(default_factory=list)
     engine: Dict[str, Any] = field(default_factory=dict)
     serve: Dict[str, Any] = field(default_factory=dict)
 

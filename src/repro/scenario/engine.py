@@ -28,13 +28,13 @@ import numpy as np
 
 from ..analysis.battery import Battery
 from ..errors import ReproError
-from ..faults.campaign import (
-    SCENARIO_STAGE_BASE,
-    CampaignClocks,
-    FaultCampaign,
+from ..faults.campaign import CampaignClocks, FaultCampaign
+from ..fleet.governor import (
+    EpochSample,
+    FleetGovernor,
+    GovernorConfig,
+    ReplanIntent,
 )
-from ..faults.plan import FaultKind
-from ..fleet.governor import FleetGovernor, GovernorConfig
 from ..fleet.report import FleetReport, aggregate_fleet
 from ..fleet.scheduler import DeviceResult, FleetScheduler
 from ..fleet.variation import (
@@ -55,7 +55,6 @@ from ..obs.slo import (
 from ..obs.tracing import span
 from ..optimize import QoSLevel
 from ..recovery.checkpoint import ScenarioCheckpoint, load_checkpoint
-from ..serve.admission import ArrivalClock
 from ..serve.router import RouterConfig, ShardRouter
 from ..serve.server import PlanServer, ServeConfig
 from .arrivals import ArrivalModel, ConstantArrivals
@@ -286,6 +285,25 @@ class ServeBridge:
             "errors": dict(sorted(self.errors.items())),
         }
 
+    def state(self) -> Dict:
+        """Snapshot of the bridge counters and the in-process server's
+        admission state (a shard router keeps its own in its workers)."""
+        return {
+            "next_id": self._next_id,
+            "requests": dict(self.requests),
+            "sheds": dict(self.sheds),
+            "errors": dict(self.errors),
+            "admission": self._server.admission.state(),
+        }
+
+    def restore(self, state: Dict) -> None:
+        """Return to a :meth:`state` snapshot."""
+        self._next_id = state["next_id"]
+        self.requests = dict(state["requests"])
+        self.sheds = dict(state["sheds"])
+        self.errors = dict(state["errors"])
+        self._server.admission.restore(state["admission"])
+
     def close(self) -> None:
         """Stop the server (and shard workers) and the private loop."""
         try:
@@ -448,7 +466,6 @@ class ScenarioEngine:
             result.optimized,
             self.config.governor,
         )
-        governor.start()
         if self._ambient_delta != 0.0:
             governor.set_ambient(
                 result.profile.thermal.t_ambient_c + self._ambient_delta
@@ -495,17 +512,13 @@ class ScenarioEngine:
         cfg = self.config
         if not cfg.ambient.is_flat:
             self._ambient_delta = cfg.ambient.delta_at(t_s)
-            for device_id in sorted(self.governors):
-                base = self.results[device_id].profile.thermal
-                self.governors[device_id].set_ambient(
-                    base.t_ambient_c + self._ambient_delta
-                )
-            for device_id in sorted(self.twins):
-                base = self.results[device_id].profile.thermal
-                self.twins[device_id].set_ambient(
-                    base.t_ambient_c + self._ambient_delta
-                )
-        intents: List[Tuple[int, FleetGovernor, object]] = []
+            for devices in (self.governors, self.twins):
+                for device_id in sorted(devices):
+                    base = self.results[device_id].profile.thermal
+                    devices[device_id].set_ambient(
+                        base.t_ambient_c + self._ambient_delta
+                    )
+        intents: List[Tuple[FleetGovernor, EpochSample, ReplanIntent]] = []
         drift_sum, drift_n = 0.0, 0
         for device_id in sorted(self.live | self.quarantined):
             windows = cfg.arrivals.windows_at(device_id, t_s, cfg.tick_s)
@@ -524,9 +537,7 @@ class ScenarioEngine:
                 if self.campaign_clocks is not None
                 else None
             )
-            sample = governor.step(
-                now=t_s, fault_clock=clock, defer_replan=True
-            )
+            sample, intent = governor.step(now=t_s, fault_clock=clock)
             if (
                 self.series is not None
                 and sample.predicted_energy_j > 0.0
@@ -556,10 +567,12 @@ class ScenarioEngine:
                     and self.invalid_streak[device_id]
                     >= cfg.churn.quarantine_after
                 ):
-                    self._quarantine(device_id, t_s, governor)
+                    if intent is not None:
+                        governor.decline_replan(intent, "quarantined")
+                    self._quarantine(device_id, t_s)
                     continue
-            if governor.pending_replan is not None:
-                intents.append((device_id, governor, sample))
+            if intent is not None:
+                intents.append((governor, sample, intent))
         self._route_replans(t_s, intents, bridge)
         if self.series is not None:
             registry = get_registry()
@@ -572,7 +585,7 @@ class ScenarioEngine:
             # never of which gauges earlier runs in this process
             # happened to leave behind.
             oracle_j = sum(
-                twin.true_energy_j for twin in self.twins.values()
+                twin.state.true_energy_j for twin in self.twins.values()
             )
             registry.gauge_set(
                 "scenario.oracle_gap_pct",
@@ -610,14 +623,10 @@ class ScenarioEngine:
         if self.slo_evaluator is not None:
             self.slo_evaluator.evaluate(self.series, t_s)
 
-    def _quarantine(
-        self, device_id: int, t_s: float, governor: FleetGovernor
-    ) -> None:
+    def _quarantine(self, device_id: int, t_s: float) -> None:
         self.live.discard(device_id)
         self.quarantined.add(device_id)
         self.churn_totals["quarantines"] += 1
-        if governor.pending_replan is not None:
-            governor.decline_replan("quarantined")
         self.queue.push(
             t_s + self.config.churn.repair_delay_s,
             EventKind.REPAIR,
@@ -644,7 +653,7 @@ class ScenarioEngine:
     def _route_replans(
         self,
         t_s: float,
-        intents: List[Tuple[int, FleetGovernor, object]],
+        intents: List[Tuple[FleetGovernor, EpochSample, ReplanIntent]],
         bridge: ServeBridge,
     ) -> None:
         cfg = self.config
@@ -655,8 +664,7 @@ class ScenarioEngine:
         if storm >= cfg.storm_threshold:
             self.replans["storm_ticks"] += 1
         tick_sheds = 0
-        for device_id, governor, sample in intents:
-            intent = governor.pending_replan
+        for governor, sample, intent in intents:
             bridge.request(
                 "telemetry",
                 {
@@ -672,11 +680,11 @@ class ScenarioEngine:
                     "qos_percent": cfg.qos_percent,
                     "extra_power_w": intent.extra_w,
                     "max_hfo_mhz": intent.cap_hz / 1e6,
-                    **self._board_param(device_id),
+                    **self._board_param(intent.device_id),
                 },
             )
             if ServeBridge.shed(response):
-                governor.decline_replan("shed")
+                governor.decline_replan(intent, "shed")
                 self.replans["shed"] += 1
                 tick_sheds += 1
                 get_registry().count(
@@ -686,7 +694,7 @@ class ScenarioEngine:
             # Control-plane *errors* (as opposed to admission sheds)
             # do not block the device: the governor re-solves locally
             # exactly as the standalone fleet path would.
-            if governor.apply_replan():
+            if governor.apply_replan(intent):
                 self.replans["applied"] += 1
             else:
                 self.replans["unavailable"] += 1
@@ -871,39 +879,6 @@ class ScenarioEngine:
             )
         if self._bridge is None:
             raise ReproError("engine not started (call start() first)")
-        governors = [
-            self._governor_state(device_id, governor)
-            for device_id, governor in self.governors.items()
-        ]
-        twins = [
-            self._twin_state(device_id, twin)
-            for device_id, twin in self.twins.items()
-        ]
-        clocks: List[Dict] = []
-        if self.campaign_clocks is not None:
-            for (device_id, stage_index), clock in sorted(
-                self.campaign_clocks._clocks.items()
-            ):
-                clocks.append(
-                    {
-                        "device_id": device_id,
-                        "stage_index": stage_index,
-                        "rng_states": {
-                            kind.value: clock._rngs[
-                                kind
-                            ].bit_generator.state
-                            for kind in FaultKind
-                        },
-                        "opportunities": {
-                            kind.value: count
-                            for kind, count in clock.opportunities.items()
-                        },
-                        "injected": {
-                            kind.value: count
-                            for kind, count in clock.injected.items()
-                        },
-                    }
-                )
         return ScenarioCheckpoint(
             config=cfg,
             events_processed=self.events_processed,
@@ -911,9 +886,19 @@ class ScenarioEngine:
             queue_heap=list(self.queue._heap),
             queue_seq=self.queue._seq,
             churn_rng_state=self.churn_proc._victim_rng.bit_generator.state,
-            campaign_clocks=clocks,
-            governors=governors,
-            twins=twins,
+            campaign_clocks=(
+                self.campaign_clocks.state()
+                if self.campaign_clocks is not None
+                else []
+            ),
+            governors=[
+                (device_id, governor.state, governor.sensor.rng_state)
+                for device_id, governor in self.governors.items()
+            ],
+            twins=[
+                (device_id, twin.state)
+                for device_id, twin in self.twins.items()
+            ],
             engine={
                 "live": set(self.live),
                 "quarantined": set(self.quarantined),
@@ -936,73 +921,8 @@ class ScenarioEngine:
                     else None
                 ),
             },
-            serve=self._serve_state(),
+            serve=self._bridge.state(),
         )
-
-    @staticmethod
-    def _governor_state(
-        device_id: int, governor: FleetGovernor
-    ) -> Dict:
-        return {
-            "device_id": device_id,
-            "plan": governor._plan,
-            "battery": governor._battery,
-            "thermal": governor._thermal,
-            "temperature": governor._temperature,
-            "compensated_w": governor._compensated_w,
-            "samples": list(governor._samples),
-            "replans": governor._replans,
-            "invalid_streak": governor._invalid_streak,
-            "invalid_epochs": governor._invalid_epochs,
-            "css_events": governor._css_events,
-            "watchdog_resets": governor._watchdog_resets,
-            "pll_retries": governor._pll_retries,
-            "epoch": governor._epoch,
-            "pending": governor._pending,
-            "sensor_rng_state": governor._sensor._rng.bit_generator.state,
-        }
-
-    @staticmethod
-    def _twin_state(device_id: int, twin: OracleTwin) -> Dict:
-        return {
-            "device_id": device_id,
-            "plan": twin._plan,
-            "battery": twin._battery,
-            "thermal": twin._thermal,
-            "temperature": twin._temperature,
-            "bucket": twin._bucket,
-            "replans": twin.replans,
-            "epochs": twin.epochs,
-            "epochs_met": twin.epochs_met,
-            "true_energy_j": twin.true_energy_j,
-        }
-
-    def _serve_state(self) -> Dict:
-        bridge = self._bridge
-        server = bridge._server
-        admission = server.admission
-        bucket = admission.bucket
-        state: Dict = {
-            "next_id": bridge._next_id,
-            "requests": dict(bridge.requests),
-            "sheds": dict(bridge.sheds),
-            "errors": dict(bridge.errors),
-            "admission": {
-                "in_flight": admission._in_flight,
-                "sheds": dict(admission.sheds),
-            },
-        }
-        if bucket is not None:
-            state["bucket"] = {
-                "tokens": bucket._tokens,
-                "last_s": bucket._last_s,
-                "clock_now_s": (
-                    bucket._time_fn._now_s
-                    if isinstance(bucket._time_fn, ArrivalClock)
-                    else None
-                ),
-            }
-        return state
 
     @classmethod
     def resume(cls, checkpoint: ScenarioCheckpoint) -> "ScenarioEngine":
@@ -1037,58 +957,13 @@ class ScenarioEngine:
             checkpoint.churn_rng_state
         )
         if self.campaign_clocks is not None:
-            for entry in checkpoint.campaign_clocks:
-                index = entry["stage_index"]
-                stage = self.config.campaign.stages[index]
-                clock = stage.plan.clock_for(
-                    entry["device_id"],
-                    stage=SCENARIO_STAGE_BASE + index,
-                )
-                for kind in FaultKind:
-                    clock._rngs[kind].bit_generator.state = entry[
-                        "rng_states"
-                    ][kind.value]
-                clock.opportunities = {
-                    FaultKind(k): v
-                    for k, v in entry["opportunities"].items()
-                }
-                clock.injected = {
-                    FaultKind(k): v
-                    for k, v in entry["injected"].items()
-                }
-                self.campaign_clocks._clocks[
-                    (entry["device_id"], index)
-                ] = clock
-        for state in checkpoint.governors:
-            governor = self.governors[state["device_id"]]
-            governor._plan = state["plan"]
-            governor._battery = state["battery"]
-            governor._thermal = state["thermal"]
-            governor._temperature = state["temperature"]
-            governor._compensated_w = state["compensated_w"]
-            governor._samples = list(state["samples"])
-            governor._replans = state["replans"]
-            governor._invalid_streak = state["invalid_streak"]
-            governor._invalid_epochs = state["invalid_epochs"]
-            governor._css_events = state["css_events"]
-            governor._watchdog_resets = state["watchdog_resets"]
-            governor._pll_retries = state["pll_retries"]
-            governor._epoch = state["epoch"]
-            governor._pending = state["pending"]
-            governor._sensor._rng.bit_generator.state = state[
-                "sensor_rng_state"
-            ]
-        for state in checkpoint.twins:
-            twin = self.twins[state["device_id"]]
-            twin._plan = state["plan"]
-            twin._battery = state["battery"]
-            twin._thermal = state["thermal"]
-            twin._temperature = state["temperature"]
-            twin._bucket = state["bucket"]
-            twin.replans = state["replans"]
-            twin.epochs = state["epochs"]
-            twin.epochs_met = state["epochs_met"]
-            twin.true_energy_j = state["true_energy_j"]
+            self.campaign_clocks.restore(checkpoint.campaign_clocks)
+        for device_id, state, rng_state in checkpoint.governors:
+            governor = self.governors[device_id]
+            governor.state = state
+            governor.sensor.rng_state = rng_state
+        for device_id, state in checkpoint.twins:
+            self.twins[device_id].state = state
         eng = checkpoint.engine
         self.live = set(eng["live"])
         self.quarantined = set(eng["quarantined"])
@@ -1119,23 +994,7 @@ class ScenarioEngine:
                     last[1],
                     simulation_projection(get_registry().snapshot()),
                 )
-        serve = checkpoint.serve
-        bridge = self._bridge
-        bridge._next_id = serve["next_id"]
-        bridge.requests = dict(serve["requests"])
-        bridge.sheds = dict(serve["sheds"])
-        bridge.errors = dict(serve["errors"])
-        admission = bridge._server.admission
-        admission._in_flight = serve["admission"]["in_flight"]
-        admission.sheds = dict(serve["admission"]["sheds"])
-        bucket = admission.bucket
-        if bucket is not None and "bucket" in serve:
-            bucket._tokens = serve["bucket"]["tokens"]
-            bucket._last_s = serve["bucket"]["last_s"]
-            if serve["bucket"]["clock_now_s"] is not None and isinstance(
-                bucket._time_fn, ArrivalClock
-            ):
-                bucket._time_fn._now_s = serve["bucket"]["clock_now_s"]
+        self._bridge.restore(checkpoint.serve)
 
     def _report(self, bridge: ServeBridge) -> ScenarioReport:
         cfg = self.config
@@ -1167,13 +1026,13 @@ class ScenarioEngine:
                 "stride": cfg.oracle_stride,
                 "governed_true_energy_j": self._governed_twin_energy,
                 "oracle_true_energy_j": sum(
-                    twin.true_energy_j for twin in self.twins.values()
+                    twin.state.true_energy_j for twin in self.twins.values()
                 ),
                 "oracle_replans": sum(
-                    twin.replans for twin in self.twins.values()
+                    twin.state.replans for twin in self.twins.values()
                 ),
                 "oracle_epochs": sum(
-                    twin.epochs for twin in self.twins.values()
+                    twin.state.epochs for twin in self.twins.values()
                 ),
             }
         faults = (

@@ -11,10 +11,12 @@ same plan space -- so the scenario report's ``oracle_gap`` is the
 closed-loop tax: energy the fleet burned because it had to *discover*
 the drift instead of knowing it.
 
-The twin replays exactly the physics of the governed device -- same
-:func:`~repro.fleet.governor.clamp_plan_to_cap` clamping, same leaky
-thermal excess on :data:`~repro.fleet.governor.LEAKY_STATES`, same
-battery/temperature bookkeeping, same exact-exponential idle -- with
+The twin shares the governed device's physics rather than copying it:
+its state embeds the same :class:`~repro.fleet.governor.DeviceState`
+record (ambient shift, exact-exponential idle, post-window battery and
+temperature step), and it runs the same
+:func:`~repro.fleet.governor.clamp_plan_to_cap` clamping and leaky
+thermal excess on :data:`~repro.fleet.governor.LEAKY_STATES` -- with
 the sensor, faults, and drift trigger removed.  It consumes no RNG,
 so adding or removing oracle twins never perturbs a scenario's
 stochastic streams.
@@ -22,13 +24,11 @@ stochastic streams.
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from ..engine.schedule import DeploymentPlan
 from ..errors import PowerModelError, ReproError
 from ..fleet.governor import (
+    DeviceState,
     GovernorConfig,
     LEAKY_STATES,
     clamp_plan_to_cap,
@@ -37,6 +37,25 @@ from ..fleet.governor import (
 from ..fleet.variation import DeviceProfile
 from ..nn.graph import Model
 from ..pipeline import DAEDVFSPipeline, OptimizationResult, front_classes
+
+
+class TwinState(NamedTuple):
+    """Everything about one twin that changes between epochs.
+
+    Attributes:
+        device: the shadowed device's physics (plan, battery, thermal,
+            temperature); its telemetry counters stay at zero.
+        bucket: the quantized operating point ``(extra_w bucket,
+            frequency cap)`` the plan in force was solved for.
+        replans / epochs / epochs_met / true_energy_j: running totals.
+    """
+
+    device: DeviceState
+    bucket: Tuple[int, float]
+    replans: int = 0
+    epochs: int = 0
+    epochs_met: int = 0
+    true_energy_j: float = 0.0
 
 
 class OracleTwin:
@@ -72,42 +91,22 @@ class OracleTwin:
         self.config = config or GovernorConfig()
         self.quant_w = quant_w
         self.base_classes = front_classes(optimized.pareto_fronts)
-        self.start()
-
-    def start(self) -> None:
-        """(Re)initialize the twin at deployment conditions."""
-        self._plan: DeploymentPlan = self.optimized.plan
-        self._battery = self.profile.battery
-        self._thermal = self.profile.thermal
-        self._temperature = self._thermal.t_ambient_c
-        self._bucket: Tuple[int, float] = (
-            0,
-            self._battery.max_sysclk_hz(),
+        device = DeviceState.deployed(profile, optimized.plan)
+        self.state = TwinState(
+            device=device, bucket=(0, device.battery.max_sysclk_hz())
         )
-        self.replans = 0
-        self.epochs = 0
-        self.epochs_met = 0
-        self.true_energy_j = 0.0
 
     def set_ambient(self, t_ambient_c: float) -> None:
         """Mirror the governed device's ambient shift."""
-        self._thermal = replace(self._thermal, t_ambient_c=t_ambient_c)
+        device = self.state.device.with_ambient(t_ambient_c)
+        self.state = self.state._replace(device=device)
 
     def idle(
         self, duration_s: float, sleep_power_w: float = 0.25e-3
     ) -> None:
         """Mirror the governed device's window-free stretch."""
-        if duration_s < 0:
-            raise PowerModelError("duration_s must be >= 0")
-        thermal = self._thermal
-        self._battery = self._battery.discharged(
-            sleep_power_w * duration_s
-        )
-        t_ss = (
-            thermal.t_ambient_c + sleep_power_w * thermal.r_th_c_per_w
-        )
-        decay = math.exp(-duration_s / thermal.time_constant_s)
-        self._temperature = t_ss + (self._temperature - t_ss) * decay
+        device = self.state.device.idled(duration_s, sleep_power_w)
+        self.state = self.state._replace(device=device)
 
     def step(self) -> bool:
         """Run one clairvoyant epoch; True when the window met QoS.
@@ -116,16 +115,14 @@ class OracleTwin:
         operating point moved -- the defining clairvoyance: it never
         pays a drifted window to learn the drift exists.
         """
-        cfg = self.config
-        thermal = self._thermal
-        cap_hz = self._battery.max_sysclk_hz()
-        extra_w = (
-            thermal.leakage_at(self._temperature)
-            - thermal.leakage_ref_w
-        )
+        state = self.state
+        device = state.device
+        cap_hz = device.battery.max_sysclk_hz()
+        extra_w = device.extra_w
         bucket = (int(round(extra_w / self.quant_w)), cap_hz)
-        if bucket != self._bucket:
-            self._bucket = bucket
+        plan = device.plan
+        replans = state.replans
+        if bucket != state.bucket:
             new_plan = resolve_replan(
                 self.pipeline,
                 self.model,
@@ -136,10 +133,10 @@ class OracleTwin:
                 fixed=self.optimized.fixed_overhead_s,
             )
             if new_plan is not None:
-                self._plan = new_plan
-                self.replans += 1
+                plan = new_plan
+                replans += 1
         exec_plan, _clamped = clamp_plan_to_cap(
-            self._plan, cap_hz, self.pipeline.space.hfo_configs
+            plan, cap_hz, self.pipeline.space.hfo_configs
         )
         try:
             ref = self.pipeline.runtime.run(
@@ -151,7 +148,12 @@ class OracleTwin:
         except ReproError:
             # Fault-free runs do not die; treat defensively as a
             # missed window with no energy accounted.
-            self.epochs += 1
+            self.state = state._replace(
+                device=device._replace(plan=plan),
+                bucket=bucket,
+                replans=replans,
+                epochs=state.epochs + 1,
+            )
             return False
         true_energy = sum(
             iv.duration_s
@@ -163,24 +165,28 @@ class OracleTwin:
         )
         window_s = ref.qos_s if ref.qos_s is not None else ref.latency_s
         avg_power = true_energy / window_s if window_s > 0 else 0.0
-        self._battery = self._battery.discharged(
-            avg_power * cfg.epoch_s
+        battery, temperature = device.after_windows(
+            avg_power, self.config.epoch_s
         )
-        self._temperature = thermal.temperature_step(
-            self._temperature, avg_power, cfg.epoch_s
+        self.state = TwinState(
+            device=device._replace(
+                plan=plan, battery=battery, temperature=temperature
+            ),
+            bucket=bucket,
+            replans=replans,
+            epochs=state.epochs + 1,
+            epochs_met=state.epochs_met + (1 if ref.met_qos else 0),
+            true_energy_j=state.true_energy_j + true_energy,
         )
-        self.epochs += 1
-        self.true_energy_j += true_energy
-        if ref.met_qos:
-            self.epochs_met += 1
         return ref.met_qos
 
     def summary(self) -> Dict:
         """JSON-ready twin outcome."""
+        state = self.state
         return {
             "device_id": self.profile.device_id,
-            "epochs": self.epochs,
-            "epochs_met": self.epochs_met,
-            "replans": self.replans,
-            "true_energy_j": self.true_energy_j,
+            "epochs": state.epochs,
+            "epochs_met": state.epochs_met,
+            "replans": state.replans,
+            "true_energy_j": state.true_energy_j,
         }

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import OverloadedError, ReproError
 from ..obs.audit import get_audit_log
@@ -38,13 +38,14 @@ class ArrivalClock:
         if tick_s < 0:
             raise ReproError("tick_s must be >= 0")
         self.tick_s = tick_s
-        self._now_s = start_s
+        #: The latest reading (``start_s`` before the first).
+        self.now_s = start_s
         self._lock = threading.Lock()
 
     def __call__(self) -> float:
         with self._lock:
-            self._now_s += self.tick_s
-            return self._now_s
+            self.now_s += self.tick_s
+            return self.now_s
 
 
 class TokenBucket:
@@ -92,6 +93,28 @@ class TokenBucket:
                 return True
             return False
 
+    def state(self) -> Dict[str, Any]:
+        """Snapshot of the fill level, refill anchor and (None unless
+        it is an :class:`ArrivalClock`) the time source's position."""
+        with self._lock:
+            return {
+                "tokens": self._tokens,
+                "last_s": self._last_s,
+                "clock_now_s": (
+                    self._time_fn.now_s
+                    if isinstance(self._time_fn, ArrivalClock)
+                    else None
+                ),
+            }
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Return to a :meth:`state` snapshot."""
+        with self._lock:
+            self._tokens = state["tokens"]
+            self._last_s = state["last_s"]
+            if isinstance(self._time_fn, ArrivalClock):
+                self._time_fn.now_s = state["clock_now_s"]
+
     @property
     def retry_after_s(self) -> float:
         """Time until the *next* token completes at the refill rate.
@@ -131,6 +154,25 @@ class AdmissionController:
         """Currently admitted, unanswered requests."""
         with self._lock:
             return self._in_flight
+
+    def state(self) -> Dict[str, Any]:
+        """Snapshot of the in-flight count, shed counters and bucket."""
+        with self._lock:
+            return {
+                "in_flight": self._in_flight,
+                "sheds": dict(self.sheds),
+                "bucket": (
+                    self.bucket.state() if self.bucket is not None else None
+                ),
+            }
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Return to a :meth:`state` snapshot."""
+        with self._lock:
+            self._in_flight = state["in_flight"]
+            self.sheds = dict(state["sheds"])
+            if self.bucket is not None:
+                self.bucket.restore(state["bucket"])
 
     def admit(self) -> int:
         """Admit one request or shed it.

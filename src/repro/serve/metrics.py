@@ -118,10 +118,9 @@ class ServeMetrics:
     def record_telemetry(
         self, model: str, predicted_j: float, measured_j: float
     ) -> Dict[str, float]:
-        """Fold one field sample into the per-model drift aggregate."""
-        drift = 0.0
-        if predicted_j > 0:
-            drift = (measured_j - predicted_j) / predicted_j
+        """Fold one field sample into the per-model drift aggregate
+        (the server has checked ``predicted_j > 0``)."""
+        drift = (measured_j - predicted_j) / predicted_j
         for registry in (self.registry, get_registry()):
             registry.count("serve.telemetry_samples", model=model)
         with self._lock:

@@ -405,6 +405,12 @@ class PlanServer(JsonLinesListener):
                 "telemetry needs finite numeric predicted/measured "
                 f"energy: {err}"
             ) from err
+        # Measured 0.0 stays legal: an invalid-telemetry epoch sends it.
+        if predicted <= 0 or measured < 0:
+            raise ProtocolError(
+                "telemetry needs predicted_energy_j > 0 and "
+                f"measured_energy_j >= 0, got {predicted!r}, {measured!r}"
+            )
         aggregate = self.metrics.record_telemetry(
             model, predicted, measured
         )

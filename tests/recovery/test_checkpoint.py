@@ -62,9 +62,10 @@ class TestTypedFailures:
             load_checkpoint(str(path))
 
     def test_version_mismatch(self, tmp_path):
-        path = str(tmp_path / "old.ckpt")
-        save_checkpoint(
-            make_checkpoint(version=CHECKPOINT_VERSION + 1), path
-        )
-        with pytest.raises(ReproError, match="version"):
-            load_checkpoint(path)
+        """Version 1 stored governor and twin state as per-attribute
+        dicts: it is refused typed, like a newer version."""
+        for version in (1, CHECKPOINT_VERSION + 1):
+            path = str(tmp_path / f"v{version}.ckpt")
+            save_checkpoint(make_checkpoint(version=version), path)
+            with pytest.raises(ReproError, match=f"version {version}"):
+                load_checkpoint(path)

@@ -12,7 +12,12 @@ import pytest
 from repro.errors import ReproError
 from repro.recovery import load_checkpoint, save_checkpoint
 from repro.scenario import ScenarioEngine, resume_scenario, run_scenario
-from repro.scenario.library import churn_heavy, flash_crowd, smoke
+from repro.scenario.library import (
+    brownout_summer,
+    churn_heavy,
+    flash_crowd,
+    smoke,
+)
 
 HOUR_S = 3600.0
 
@@ -75,6 +80,23 @@ class TestResumeParity:
         checkpoint_at(config(), 5, path)
         resumed = resume_scenario(str(path))
         assert resumed.digest() == baseline.digest()
+
+    @pytest.mark.parametrize("boundary", [6, 12])
+    def test_brownout_summer_resumes_identically(self, tmp_path, boundary):
+        """Oracle twin, heat-wave ambient, brownout-capped and clamped
+        plans: boundary 6 falls before the wave, 12 inside it."""
+
+        def config():
+            return brownout_summer(devices=6, horizon_s=3 * HOUR_S, seed=0)
+
+        baseline = run_scenario(config())
+        assert baseline.oracle is not None
+        assert baseline.faults_injected
+        path = tmp_path / "brownout.ckpt"
+        assert checkpoint_at(config(), boundary, path) == boundary
+        resumed = resume_scenario(str(path))
+        assert resumed.digest() == baseline.digest()
+        assert resumed.to_dict() == baseline.to_dict()
 
     def test_checkpoint_past_end_resumes_to_same_report(self, tmp_path):
         """A boundary beyond the horizon snapshots the drained run."""

@@ -237,6 +237,56 @@ class TestErrorsAndValidation:
         assert result["mean_drift"] == pytest.approx(0.05)
 
 
+    def test_telemetry_rejects_unusable_energies(self):
+        """A prediction <= 0 has no drift and an energy cannot be
+        negative: both are refused, and only the usable sample moves
+        the model's drift aggregate (which once read 0.167 here)."""
+
+        async def main():
+            server = make_server()
+            responses = [
+                await server.handle_request_dict(
+                    {
+                        "v": 1,
+                        "id": f"t{i}",
+                        "op": "telemetry",
+                        "params": {
+                            "model": "tiny",
+                            "predicted_energy_j": predicted,
+                            "measured_energy_j": measured,
+                        },
+                    }
+                )
+                for i, (predicted, measured) in enumerate(
+                    [(0, 5.0), (-1, 3.0), (1.0, -0.5), (1.0, 1.5)]
+                )
+            ]
+            await server.stop()
+            return responses
+
+        *rejected, accepted = run(main())
+        assert [r["error"]["kind"] for r in rejected] == ["bad_request"] * 3
+        assert accepted["result"]["samples"] == 1
+        assert accepted["result"]["mean_drift"] == pytest.approx(0.5)
+
+    def test_telemetry_accepts_zero_measured_energy(self):
+        """An invalid-telemetry epoch reports measured 0.0; it stays
+        a legal sample (drift -1)."""
+
+        async def main():
+            server = make_server()
+            response = await InProcessClient(server).request(
+                "telemetry",
+                model="tiny",
+                predicted_energy_j=2.0,
+                measured_energy_j=0.0,
+            )
+            await server.stop()
+            return response
+
+        assert run(main())["mean_drift"] == pytest.approx(-1.0)
+
+
 class TestOtherEndpoints:
     def test_reprice_telemetry_health(self):
         async def main():
